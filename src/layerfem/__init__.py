@@ -46,6 +46,7 @@ from .study import (
     StudyConfig,
     StudyResult,
     aggregate,
+    defaults_for,
     emit,
     fitted_rate,
     format_error,
@@ -78,6 +79,7 @@ __all__ = [
     "build_bundle",
     "check_layer_bounds",
     "check_step_sizes",
+    "defaults_for",
     "distance_norms",
     "emit",
     "error_norms",

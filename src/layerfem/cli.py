@@ -20,6 +20,7 @@ from .problem import get_problem
 from .study import (
     DEFAULT_EPSILONS,
     StudyConfig,
+    defaults_for,
     emit,
     format_error,
     interpolation_study,
@@ -135,14 +136,22 @@ def _single(values, name: str, default=None):
     return values
 
 
+def _mesh_params(args: argparse.Namespace, k: int) -> tuple[float, float]:
+    """(sigma, c1): the flags where given, else the degree-k defaults."""
+    sigma, c1 = defaults_for(k)
+    return (
+        sigma if args.sigma is None else args.sigma,
+        c1 if args.c1 is None else args.c1,
+    )
+
+
 def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> tuple[MeshSpec, float]:
     n_intervals = _single(args.N, "N")
     eps = _single(args.epsilon, "epsilon")
     family = _single(args.mesh_type, "mesh-type")
     if family not in _FAMILY_CHOICES:
         raise ValueError(f"unknown mesh family {family!r}")
-    sigma = args.sigma if args.sigma is not None else float((k or 1) + 1)
-    c1 = args.c1 if args.c1 is not None else 5.0 * ((k or 1) + 1) / 4.0
+    sigma, c1 = _mesh_params(args, k or 1)
     spec = MeshSpec(
         family=MeshFamily(family),
         N=n_intervals,
@@ -227,23 +236,26 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     n_values = tuple(args.N) if args.N else (64, 128, 256, 512)
     epsilons = tuple(args.epsilon) if args.epsilon else DEFAULT_EPSILONS
 
-    lines = [f"mesh step-size checks ({family})"]
-    worst = True
-    for eps in epsilons:
-        for n_intervals in n_values:
-            spec = MeshSpec(
-                family=MeshFamily(family),
-                N=n_intervals,
-                sigma=args.sigma if args.sigma is not None else 2.0,
-                epsilon=eps,
-                c1=args.c1 if args.c1 is not None else 2.5,
-                c_eps=args.c_eps,
-            )
-            checks = check_step_sizes(generate(spec))
-            worst = worst and checks.all_bounds_hold
-            if not checks.all_bounds_hold:
-                lines.append(f"  FAIL N={n_intervals} epsilon={eps}: {checks}")
-    lines.append(f"  all step-size bounds hold: {'yes' if worst else 'NO'}")
+    lines = []
+    for k in k_values:
+        sigma, c1 = _mesh_params(args, k)
+        lines.append(f"mesh step-size checks ({family}, k = {k}, sigma = {sigma:g}, c1 = {c1:g})")
+        all_hold = True
+        for eps in epsilons:
+            for n_intervals in n_values:
+                spec = MeshSpec(
+                    family=MeshFamily(family),
+                    N=n_intervals,
+                    sigma=sigma,
+                    epsilon=eps,
+                    c1=c1,
+                    c_eps=args.c_eps,
+                )
+                checks = check_step_sizes(generate(spec))
+                all_hold = all_hold and checks.all_bounds_hold
+                if not checks.all_bounds_hold:
+                    lines.append(f"  FAIL N={n_intervals} epsilon={eps}: {checks}")
+        lines.append(f"  all step-size bounds hold: {'yes' if all_hold else 'NO'}")
     lines.append("")
 
     for k in k_values:

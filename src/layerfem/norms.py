@@ -2,12 +2,17 @@
 
 The energy norm is {epsilon*|v|_1^2 + ||v||^2}^(1/2).  Integrals are computed
 per element by composite Gauss quadrature, starting from 4 panels per element
-and doubling (up to 64) until the element contribution settles to 1e-10
-relative; the max norm is estimated by dense sampling.
+and doubling (up to 64) until the element contribution settles: it may change
+by at most 1e-10 relative plus the round-off bounds of the two estimates.
+Errors near round-off are differences of much larger values, so 1e-10
+relative alone is out of reach there; with the round-off floor the cap is
+reached only where the integral still changes above noise.  The max norm is
+estimated by dense sampling of the values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,6 +28,9 @@ _REL_TOL = 1e-10
 _START_PANELS = 4
 _MAX_PANELS = 64
 _INF_SAMPLES = 50
+# Bound on the absolute error of a computed difference, per unit of the size
+# of the values it subtracts.
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -34,62 +42,92 @@ class ErrorTriple:
     e_energy: float
 
 
-def _composite(rule, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # `panels` copies of the base rule, stacked on [0, 1].
-    shift = np.arange(panels, dtype=float)[:, None]
-    pts = ((shift + rule.points[None, :]) / panels).ravel()
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=128)
+def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...]:
+    """Points and weights of ``panels`` copies of the q-point Gauss rule stacked
+    on [0, 1], with the shape function values and derivatives there."""
+    rule = gauss_legendre(q)
+    pts = ((np.arange(panels, dtype=float)[:, None] + rule.points[None, :]) / panels).ravel()
     wts = np.tile(rule.weights / panels, panels)
-    return pts, wts
+    basis = ReferenceBasis(degree)
+    return _frozen(pts, wts, basis.eval_all(pts), basis.deriv_all(pts))
 
 
-def _adaptive_integrals(diff_at, h: np.ndarray, q: int) -> tuple[float, float]:
+@functools.lru_cache(maxsize=128)
+def _sample_table(degree: int) -> tuple[np.ndarray, ...]:
+    """Max-norm sample points (an even grid plus the element's own nodes) and
+    the shape function values there."""
+    pts = np.union1d(np.linspace(0.0, 1.0, _INF_SAMPLES), np.arange(degree + 1) / degree)
+    return _frozen(pts, ReferenceBasis(degree).eval_all(pts))
+
+
+def _at(fn: Callable, x: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fn(x), float), x.shape)
+
+
+def _integral(diff: np.ndarray, scale: np.ndarray, h: np.ndarray, w: np.ndarray):
+    """Element integrals of diff^2 and their round-off bounds.
+
+    A difference of values of size ``scale`` is off by at most
+    delta = _ROUNDOFF*scale, so its square is off by at most
+    2|diff|*delta + delta^2.
+    """
+    delta = _ROUNDOFF * scale
+    return h * ((diff * diff) @ w), h * ((delta * (2.0 * np.abs(diff) + delta)) @ w)
+
+
+def _settled(new, old, noise) -> np.ndarray:
+    return np.abs(new - old) <= _REL_TOL * np.maximum(np.abs(new), np.abs(old)) + noise
+
+
+def _adaptive_integrals(values, slopes, mesh: Mesh1D, degree: int) -> tuple[float, float]:
     """Element-adaptive integrals of diff^2 and (diff')^2 over the mesh.
 
-    ``diff_at(elems, xi)`` must return the error and its derivative at local
-    coordinates ``xi`` on the selected elements, shaped (len(elems), len(xi)).
+    ``values(elems, x, shape)`` and ``slopes(elems, x, slope)`` must return
+    the error (respectively its derivative) at the points ``x`` of the
+    selected elements, and the size of the values subtracted to form it, each
+    shaped like ``x``; ``shape`` and ``slope`` are the shape function values
+    and derivatives at the matching local points.
     """
-    rule = gauss_legendre(q)
-    val2 = np.zeros(h.size)
-    der2 = np.zeros(h.size)
+    h, left = mesh.steps, mesh.nodes[:-1]
+    q = degree + 3
 
-    pts, wts = _composite(rule, _START_PANELS)
-    dv, dd = diff_at(np.arange(h.size), pts)
-    val2[:] = h * ((dv * dv) @ wts)
-    der2[:] = h * ((dd * dd) @ wts)
+    def level(elems, panels):
+        pts, wts, shape, slope = _quadrature_table(degree, q, panels)
+        he = h[elems]
+        x = left[elems, None] + he[:, None] * pts
+        return (*_integral(*values(elems, x, shape), he, wts),
+                *_integral(*slopes(elems, x, slope), he, wts))
 
     active = np.arange(h.size)
+    val2, val_noise, der2, der_noise = level(active, _START_PANELS)
     panels = 2 * _START_PANELS
     while active.size and panels <= _MAX_PANELS:
-        pts, wts = _composite(rule, panels)
-        dv, dd = diff_at(active, pts)
-        new_v = h[active] * ((dv * dv) @ wts)
-        new_d = h[active] * ((dd * dd) @ wts)
-        settled_v = np.abs(new_v - val2[active]) <= _REL_TOL * np.maximum(
-            np.abs(new_v), np.abs(val2[active])
+        new_v, noise_v, new_d, noise_d = level(active, panels)
+        settled = _settled(new_v, val2[active], noise_v + val_noise[active]) & _settled(
+            new_d, der2[active], noise_d + der_noise[active]
         )
-        settled_d = np.abs(new_d - der2[active]) <= _REL_TOL * np.maximum(
-            np.abs(new_d), np.abs(der2[active])
-        )
-        val2[active] = new_v
-        der2[active] = new_d
-        active = active[~(settled_v & settled_d)]
+        val2[active], val_noise[active] = new_v, noise_v
+        der2[active], der_noise[active] = new_d, noise_d
+        active = active[~settled]
         panels *= 2
     # Fixed element order keeps the reduction deterministic.
     return float(np.sum(val2)), float(np.sum(der2))
 
 
-def _max_abs(diff_at, n_elems: int, degree: int) -> float:
-    local = np.union1d(
-        np.linspace(0.0, 1.0, _INF_SAMPLES), np.arange(degree + 1) / degree
-    )
-    dv, _ = diff_at(np.arange(n_elems), local)
-    return float(np.max(np.abs(dv)))
-
-
-def _triple(diff_at, h: np.ndarray, degree: int, epsilon: float) -> ErrorTriple:
-    val2, der2 = _adaptive_integrals(diff_at, h, degree + 3)
+def _triple(values, slopes, mesh: Mesh1D, degree: int, epsilon: float) -> ErrorTriple:
+    val2, der2 = _adaptive_integrals(values, slopes, mesh, degree)
+    pts, shape = _sample_table(degree)
+    x = mesh.nodes[:-1, None] + mesh.steps[:, None] * pts
+    diff, _ = values(np.arange(mesh.N), x, shape, scaled=False)
     return ErrorTriple(
-        e_inf=_max_abs(diff_at, h.size, degree),
+        e_inf=float(np.max(np.abs(diff))),
         e_l2=math.sqrt(val2),
         e_energy=math.sqrt(epsilon * der2 + val2),
     )
@@ -105,24 +143,21 @@ def error_norms(
 
     ``exact_u`` and ``exact_du`` must accept numpy arrays.
     """
-    mesh = fem.mesh
-    h = mesh.steps
-    basis = ReferenceBasis(fem.degree)
+    h = fem.mesh.steps
     coeff = fem.element_coefficients()
-    left = mesh.nodes[:-1]
 
-    def diff_at(elems, xi):
-        x = left[elems, None] + h[elems, None] * xi[None, :]
-        shp = basis.eval_all(xi)
-        dshp = basis.deriv_all(xi)
-        dv = np.broadcast_to(np.asarray(exact_u(x), float), x.shape) - coeff[elems] @ shp
-        dd = (
-            np.broadcast_to(np.asarray(exact_du(x), float), x.shape)
-            - (coeff[elems] @ dshp) / h[elems, None]
-        )
-        return dv, dd
+    def values(elems, x, shape, scaled=True):
+        u = _at(exact_u, x)
+        c = coeff[elems]
+        diff = u - c @ shape
+        return diff, (np.abs(u) + np.abs(c) @ np.abs(shape) if scaled else None)
 
-    return _triple(diff_at, h, fem.degree, epsilon)
+    def slopes(elems, x, slope):
+        du = _at(exact_du, x)
+        c, he = coeff[elems], h[elems, None]
+        return du - (c @ slope) / he, np.abs(du) + (np.abs(c) @ np.abs(slope)) / he
+
+    return _triple(values, slopes, fem.mesh, fem.degree, epsilon)
 
 
 def distance_norms(
@@ -139,18 +174,12 @@ def distance_norms(
     Symmetric in its two function pairs: swapping (u, du) with (v, dv)
     returns identical values.
     """
-    h = mesh.steps
-    left = mesh.nodes[:-1]
 
-    def diff_at(elems, xi):
-        x = left[elems, None] + h[elems, None] * xi[None, :]
-        shape = x.shape
-        diff = np.broadcast_to(np.asarray(u(x), float), shape) - np.broadcast_to(
-            np.asarray(v(x), float), shape
-        )
-        ddiff = np.broadcast_to(np.asarray(du(x), float), shape) - np.broadcast_to(
-            np.asarray(dv(x), float), shape
-        )
-        return diff, ddiff
+    def pair(f, g):
+        def diff_at(elems, x, _basis, scaled=True):
+            a, b = _at(f, x), _at(g, x)
+            return a - b, (np.abs(a) + np.abs(b) if scaled else None)
 
-    return _triple(diff_at, h, degree, epsilon)
+        return diff_at
+
+    return _triple(pair(u, v), pair(du, dv), mesh, degree, epsilon)

@@ -31,6 +31,7 @@ __all__ = [
     "fitted_rate",
     "interpolation_study",
     "DEFAULT_EPSILONS",
+    "defaults_for",
 ]
 
 DEFAULT_EPSILONS = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
@@ -39,11 +40,16 @@ DEFAULT_EPSILONS = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 _RATE_FLOOR = 1e-13
 
 
+def defaults_for(k: int) -> tuple[float, float]:
+    """Default mesh parameters (sigma, c1) = (k + 1, 5(k+1)/4) for degree k."""
+    return float(k + 1), 5.0 * (k + 1) / 4.0
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Sweep definition; None for sigma, c1 or N_list selects per-degree defaults.
 
-    Defaults: sigma = k + 1, c1 = 5(k+1)/4, and N doubling from 8 up to 2048
+    Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
     for k <= 2 or 1024 for k >= 3.
     """
 
@@ -72,10 +78,10 @@ class StudyConfig:
             raise ValueError("families, k_list and epsilons must be nonempty")
 
     def sigma_for(self, k: int) -> float:
-        return float(k + 1) if self.sigma is None else self.sigma
+        return defaults_for(k)[0] if self.sigma is None else self.sigma
 
     def c1_for(self, k: int) -> float:
-        return 5.0 * (k + 1) / 4.0 if self.c1 is None else self.c1
+        return defaults_for(k)[1] if self.c1 is None else self.c1
 
     def n_list_for(self, k: int) -> tuple[int, ...]:
         if self.N_list is not None:
@@ -296,10 +302,11 @@ def interpolation_study(
     """Measure interpolation errors of u - u^I and the layer correction.
 
     Used by the ``verify`` CLI command and the interpolation-rate checks;
-    sigma defaults to k + 1 and c1 to 5(k+1)/4.
+    sigma and c1 default to :func:`defaults_for`.
     """
-    sigma = float(k + 1) if sigma is None else sigma
-    c1 = 5.0 * (k + 1) / 4.0 if c1 is None else c1
+    default_sigma, default_c1 = defaults_for(k)
+    sigma = default_sigma if sigma is None else sigma
+    c1 = default_c1 if c1 is None else c1
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
     rows = []

@@ -131,3 +131,27 @@ class TestVerifyCommand:
         assert "all step-size bounds hold: yes" in text
         assert "interpolation errors, k = 1" in text
         assert "max|u-uI|" in text
+
+    def test_step_sizes_checked_with_the_degree_defaults(self, tmp_path, monkeypatch):
+        # The step-size check and the interpolation table of one degree use
+        # the same mesh: sigma = k + 1 and c1 = 5(k+1)/4.
+        import layerfem.cli as cli
+
+        checked = []
+        real_check = cli.check_step_sizes
+
+        def spy(mesh):
+            checked.append((mesh.spec.sigma, mesh.spec.c1))
+            return real_check(mesh)
+
+        monkeypatch.setattr(cli, "check_step_sizes", spy)
+        out = tmp_path / "verify.txt"
+        code = main(
+            ["verify", "--mesh-type", "kopteva", "--k", "3", "--N", "16", "--N", "32",
+             "--epsilon", "1e-6", "--out", str(out)]
+        )
+        assert code == 0
+        assert checked == [(4.0, 5.0), (4.0, 5.0)]
+        text = out.read_text()
+        assert "mesh step-size checks (kopteva, k = 3, sigma = 4, c1 = 5)" in text
+        assert "all step-size bounds hold: yes" in text

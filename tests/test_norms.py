@@ -1,11 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from layerfem import (
     MeshFamily,
     MeshSpec,
+    defaults_for,
     distance_norms,
     error_norms,
     galerkin_solve,
@@ -13,6 +18,7 @@ from layerfem import (
     lagrange_interp,
     layer_test_problem,
 )
+from layerfem.norms import _MAX_PANELS, _START_PANELS
 
 
 def uniform_mesh(N=4):
@@ -133,3 +139,80 @@ class TestErrorNorms:
         fem = galerkin_solve(bvp, mesh, 1)
         tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
         assert tri.e_inf > 0.1 * tri.e_energy
+
+
+def counting(fn):
+    """Wrap ``fn`` to count, per number of points on an element, how many
+    element rows it was evaluated on."""
+    rows = Counter()
+
+    def counted(x):
+        x = np.asarray(x)
+        rows[x.shape[-1]] += x.shape[0] if x.ndim == 2 else 1
+        return fn(x)
+
+    return counted, rows
+
+
+class TestQuadratureTermination:
+    def test_round_off_errors_stop_short_of_the_cap(self):
+        # At k = 4, N = 1024 the Galerkin error sits near round-off on most
+        # elements; a relative tolerance alone sends every element to the cap.
+        eps, k, n = 1e-8, 4, 1024
+        bvp = layer_test_problem(eps)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=n, sigma=k + 1.0, epsilon=eps))
+        fem = galerkin_solve(bvp, mesh, k)
+        exact_u, rows = counting(bvp.exact.u)
+        error_norms(fem, exact_u, bvp.exact.u_prime, eps)
+        capped = rows[(k + 3) * _MAX_PANELS]
+        assert capped < 0.01 * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        coeffs=st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=5, max_size=5
+        ),
+        family=st.sampled_from([MeshFamily.UNIFORM, MeshFamily.ROOS, MeshFamily.KOPTEVA]),
+        n=st.integers(2, 32).map(lambda m: 2 * m),
+        log_eps=st.floats(-9.0, -3.0),
+    )
+    def test_polynomial_interpolant_settles_at_first_comparison(
+        self, k, coeffs, family, n, log_eps
+    ):
+        # A polynomial of degree <= k is reproduced by its interpolant, so the
+        # error is pure round-off and no element may refine past the first
+        # comparison (START -> 2*START panels).
+        eps = 10.0**log_eps
+        p = Polynomial(coeffs[: k + 1])
+        sigma, c1 = defaults_for(k)
+        mesh = generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
+        exact_u, rows = counting(p)
+        error_norms(lagrange_interp(p, mesh, k), exact_u, p.deriv(), 1.0)
+        assert rows[(k + 3) * 4 * _START_PANELS] == 0
+
+
+# (family, k, N, eps) -> e_energy and e_l2 as computed with the quadrature
+# that stopped at 1e-10 relative alone (None where that value was below
+# 1e-8, i.e. round-off).  The round-off floor must not move values above
+# noise.
+_PINNED = [
+    ("roos", 1, 64, 1e-6, 0.04167379981537657, 1.0395779154293394e-06),
+    ("kopteva", 2, 16, 1e-8, 0.02568133209277093, 3.500105947728022e-05),
+    ("roos", 3, 1024, 1e-6, 1.5198052401780855e-08, None),
+    ("kopteva", 3, 8, 1e-9, 0.030107302757269094, 7.764692495837464e-05),
+    ("roos", 4, 32, 1e-4, 3.881173292823487e-05, 1.0719874518932016e-08),
+]
+
+
+@pytest.mark.parametrize("family,k,n,eps,e_energy,e_l2", _PINNED)
+def test_round_off_floor_keeps_values_above_noise(family, k, n, eps, e_energy, e_l2):
+    bvp = layer_test_problem(eps)
+    spec = MeshSpec(
+        family=MeshFamily(family), N=n, sigma=k + 1.0, epsilon=eps, c1=5.0 * (k + 1) / 4.0
+    )
+    fem = galerkin_solve(bvp, generate(spec), k)
+    tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+    assert tri.e_energy == pytest.approx(e_energy, rel=1e-6)
+    if e_l2 is not None:
+        assert tri.e_l2 == pytest.approx(e_l2, rel=1e-6)

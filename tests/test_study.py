@@ -14,7 +14,7 @@ from layerfem import (
     run_study,
 )
 from layerfem.problem import _PROBLEMS
-from layerfem.study import interpolation_study
+from layerfem.study import defaults_for, interpolation_study
 
 
 def small_config(**overrides):
@@ -31,6 +31,7 @@ def small_config(**overrides):
 class TestConfig:
     def test_defaults_follow_degree(self):
         cfg = StudyConfig()
+        assert defaults_for(3) == (4.0, 5.0)
         assert cfg.sigma_for(3) == 4.0
         assert cfg.c1_for(3) == 5.0
         assert cfg.n_list_for(2)[-1] == 2048
