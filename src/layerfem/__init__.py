@@ -9,7 +9,7 @@ and measures errors in the max, L2 and epsilon-weighted energy norms.
 """
 
 from .femcore import (
-    BandedSystem,
+    ElementSystem,
     PiecewisePolynomial,
     QuadratureRule,
     ReferenceBasis,
@@ -56,8 +56,8 @@ from .study import (
 
 __all__ = [
     "AggregateRow",
-    "BandedSystem",
     "ConvergenceRecord",
+    "ElementSystem",
     "ErrorTriple",
     "ExactSolution",
     "InterpolantBundle",

@@ -59,6 +59,11 @@ class MeshSpec:
         t = 1/2 - c1*epsilon.  Required for KOPTEVA.
     c_eps : float
         Breakpoint constant of the ORIGINAL map (same role as c1).
+
+    When the graded map is used (epsilon <= 1/N) its layer part must end
+    inside the domain: roos needs sigma*eps*ln(1/eps) < 1, kopteva and
+    original need sigma*eps*ln(1/(2*c*eps)) < 1 with c = c1 or c_eps.  A
+    violated condition raises a ValueError that names it.
     """
 
     family: MeshFamily
@@ -85,6 +90,14 @@ class MeshSpec:
             self._check_breakpoint(self.c1)
         elif self.family is MeshFamily.ORIGINAL:
             self._check_breakpoint(self.c_eps)
+        if self.graded:
+            self._check_layer_width()
+
+    @property
+    def graded(self) -> bool:
+        """Whether :func:`generate` uses the graded map; for epsilon > 1/N the
+        layer needs no special resolution and the mesh is uniform."""
+        return self.family is not MeshFamily.UNIFORM and self.epsilon <= 1.0 / self.N
 
     def _check_breakpoint(self, const: float) -> None:
         theta = 0.5 - const * self.epsilon
@@ -92,6 +105,25 @@ class MeshSpec:
             raise ValueError(
                 f"breakpoint t = 1/2 - {const}*{self.epsilon} = {theta} "
                 "must lie in (0, 1/2)"
+            )
+
+    def _check_layer_width(self) -> None:
+        # The graded part ends at x = width; past x = 1 the uniform part
+        # would run backwards.
+        eps = self.epsilon
+        if self.family is MeshFamily.ROOS:
+            if not 1.0 - eps < 1.0:
+                raise ValueError(f"roos mesh needs 1 - eps < 1 in floating point, got eps = {eps}")
+            width = self.sigma * eps * math.log(1.0 / eps)
+            condition = "sigma*eps*ln(1/eps) < 1"
+        else:
+            const = self.c1 if self.family is MeshFamily.KOPTEVA else self.c_eps
+            width = self.sigma * eps * math.log(1.0 / (2.0 * const * eps))
+            condition = "sigma*eps*ln(1/(2*c*eps)) < 1"
+        if not width < 1.0:
+            raise ValueError(
+                f"{self.family.value} mesh needs {condition}, got {width:.6g} "
+                f"(sigma = {self.sigma}, eps = {eps})"
             )
 
 
@@ -161,7 +193,7 @@ def generate(spec: MeshSpec) -> Mesh1D:
     t = np.arange(N + 1, dtype=float) / N
 
     family = spec.family
-    if family is not MeshFamily.UNIFORM and spec.epsilon > 1.0 / N:
+    if family is not MeshFamily.UNIFORM and not spec.graded:
         family = MeshFamily.UNIFORM
         spec = replace(spec, family=MeshFamily.UNIFORM)
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, ReferenceBasis, gauss_legendre
+from .femcore import PiecewisePolynomial, ReferenceBasis, _frozen, gauss_legendre
 from .mesh import Mesh1D
 
 __all__ = ["ErrorTriple", "error_norms", "distance_norms"]
@@ -40,12 +40,6 @@ class ErrorTriple:
     e_inf: float
     e_l2: float
     e_energy: float
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @functools.lru_cache(maxsize=128)

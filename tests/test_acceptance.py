@@ -9,8 +9,8 @@ line per criterion (visible with ``pytest -s`` or on failure):
   4. epsilon-uniformity: max/min energy error ratio <= 1.5 per (family, k, N)
   5. step-size bounds hold exactly on the full (N, epsilon, sigma) mesh grid
   6. interpolation error rates (max, energy, correction energy)
-  7. independent oracle suites (assembly, banded LU, Galerkin exactness,
-     quadrature closed form)
+  7. independent oracle suites (assembly, condensed solve vs dense LU,
+     Galerkin exactness, quadrature closed form)
 """
 
 import math
@@ -21,7 +21,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from layerfem import (
-    BandedSystem,
+    Mesh1D,
     MeshFamily,
     MeshSpec,
     StudyConfig,
@@ -212,20 +212,19 @@ def test_criterion_7_oracle_suites():
     if gap > 1e-12:
         failures.append(f"assembly oracle gap {gap:.2e}")
 
-    # Banded LU vs dense LU on a random diagonally dominant system.
+    # Condensed solve vs dense LU of the same assembled system, on random
+    # meshes, for every degree.
     rng = np.random.default_rng(2024)
-    n, bw = 100, 3
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        lo, hi = max(0, i - bw), min(n, i + bw + 1)
-        matrix[i, lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
-        matrix[i, i] = 1.0 + np.sum(np.abs(matrix[i, lo:hi]))
-    rhs = rng.uniform(-1.0, 1.0, n)
-    x = solve(BandedSystem.from_dense(matrix, bw, rhs))
-    x_ref = np.linalg.solve(matrix, rhs)
-    lu_gap = np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))
-    if lu_gap > 1e-10:
-        failures.append(f"banded vs dense LU gap {lu_gap:.2e}")
+    n_elem = 24
+    spec = MeshSpec(family=MeshFamily.UNIFORM, N=n_elem, sigma=1.0, epsilon=0.5)
+    for k_solve in (1, 2, 3, 4):
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_elem - 1)), [1.0]])
+        system = assemble(bvp, Mesh1D(nodes=nodes, spec=spec), k_solve)
+        x = solve(system)
+        x_ref = np.linalg.solve(system.to_dense(), system.rhs)
+        lu_gap = np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))
+        if lu_gap > 1e-10:
+            failures.append(f"condensed vs dense LU gap k={k_solve}: {lu_gap:.2e}")
 
     # Galerkin reproduces any degree-k polynomial solution to 1e-10 energy.
     for family in (MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.ORIGINAL, MeshFamily.UNIFORM):

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from layerfem import (
-    BandedSystem,
+    ElementSystem,
+    Mesh1D,
     MeshFamily,
     MeshSpec,
     PiecewisePolynomial,
@@ -11,6 +19,7 @@ from layerfem import (
     SingularMatrixError,
     TwoPointBVP,
     assemble,
+    defaults_for,
     error_norms,
     galerkin_solve,
     gauss_legendre,
@@ -19,6 +28,7 @@ from layerfem import (
     layer_test_problem,
     solve,
 )
+from layerfem.femcore import TridiagonalLU
 
 ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.ORIGINAL, MeshFamily.UNIFORM]
 
@@ -207,76 +217,174 @@ def _dense_rhs_oracle(bvp, mesh, k, q):
     return rhs[1:-1]
 
 
+def _tridiagonal(dense):
+    return np.diag(dense, -1), np.diag(dense), np.diag(dense, 1)
+
+
+def _random_mesh(rng, n_elem):
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_elem - 1)), [1.0]])
+    spec = MeshSpec(family=MeshFamily.UNIFORM, N=n_elem, sigma=1.0, epsilon=0.5)
+    return Mesh1D(nodes=nodes, spec=spec)
+
+
 class TestBandedSolve:
     def test_identity_system(self):
         rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        system = BandedSystem.from_dense(np.eye(5), 2, rhs)
-        np.testing.assert_array_equal(solve(system), rhs)
+        lu = TridiagonalLU(*_tridiagonal(np.eye(5)))
+        np.testing.assert_array_equal(lu.solve(rhs), rhs)
 
     def test_random_banded_against_dense_lu(self):
+        # Condensed solve vs dense LU of the same assembled system, on random
+        # meshes, for every degree.
         rng = np.random.default_rng(42)
-        n, bw = 50, 3
-        dense = np.zeros((n, n))
-        for i in range(n):
-            lo, hi = max(0, i - bw), min(n, i + bw + 1)
-            dense[i, lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
-            dense[i, i] = 1.0 + np.sum(np.abs(dense[i, lo:hi]))
-        rhs = rng.uniform(-1.0, 1.0, n)
-        system = BandedSystem.from_dense(dense, bw, rhs)
-        x = solve(system)
-        x_ref = np.linalg.solve(dense, rhs)
-        assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+        bvp = layer_test_problem(0.01)
+        for k in (1, 2, 3, 4):
+            system = assemble(bvp, _random_mesh(rng, 16), k)
+            x = solve(system)
+            x_ref = np.linalg.solve(system.to_dense(), system.rhs)
+            assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
 
     def test_pivoting_handles_zero_diagonal(self):
         # Requires a row swap at the first step; rejects naive elimination.
         dense = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
         rhs = np.array([1.0, 2.0, 3.0])
-        x = solve(BandedSystem.from_dense(dense, 1, rhs))
+        x = TridiagonalLU(*_tridiagonal(dense)).solve(rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-13)
 
     def test_singular_reports_pivot_index(self):
         dense = np.eye(4)
         dense[2, 2] = 0.0
-        system = BandedSystem.from_dense(dense, 1, np.ones(4))
         with pytest.raises(SingularMatrixError) as info:
-            solve(system)
+            TridiagonalLU(*_tridiagonal(dense))
         assert info.value.pivot_index == 2
+
+    def test_zero_pivot_after_interchange(self):
+        # Step 0 swaps rows; the remaining pivot is then exactly zero.
+        dense = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as info:
+            TridiagonalLU(*_tridiagonal(dense))
+        assert info.value.pivot_index == 1
+
+    @pytest.mark.parametrize(
+        "dl, d, du, step",
+        [
+            ([0.0, 0.0], [1.0, np.inf, 1.0], [0.0, 0.0], 1),   # kept row
+            ([0.0, 1.0], [1.0, np.nan, 1.0], [0.0, 0.0], 1),   # interchange
+            ([np.nan, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], 0),   # NaN below the pivot
+            ([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, np.nan], 2),   # reaches the last pivot
+        ],
+    )
+    def test_non_finite_pivot_reports_its_step(self, dl, d, du, step):
+        with pytest.raises(SingularMatrixError) as info:
+            TridiagonalLU(np.array(dl), np.array(d), np.array(du))
+        assert info.value.pivot_index == step
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    )))
+    def test_backward_stable_on_random_systems(self, diagonals):
+        # Small integers make zero diagonals and exactly singular matrices
+        # common; a matrix the kernel rejects must be singular to working
+        # precision.
+        dl, d, du, b = (np.array(v, dtype=float) for v in diagonals)
+        dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        try:
+            x = TridiagonalLU(dl, d, du).solve(b)
+        except SingularMatrixError:
+            assert np.linalg.cond(dense) > 1e10
+            return
+        norm_a = np.max(np.sum(np.abs(dense), axis=1))
+        bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+        assert np.max(np.abs(dense @ x - b)) <= bound
 
     def test_solve_does_not_mutate_input(self):
         rng = np.random.default_rng(3)
-        dense = np.diag(2.0 + rng.uniform(size=6))
-        system = BandedSystem.from_dense(dense, 1, rng.uniform(size=6))
-        before_rows = system.rows.copy()
-        before_rhs = system.rhs.copy()
-        solve(system)
-        np.testing.assert_array_equal(system.rows, before_rows)
-        np.testing.assert_array_equal(system.rhs, before_rhs)
+        dl, du = rng.uniform(size=5), rng.uniform(size=5)
+        d, b = 2.0 + rng.uniform(size=6), rng.uniform(size=6)
+        before = [v.copy() for v in (dl, d, du, b)]
+        TridiagonalLU(dl, d, du).solve(b)
+        for after, original in zip((dl, d, du, b), before):
+            np.testing.assert_array_equal(after, original)
 
-    def test_from_dense_rejects_out_of_band_entries(self):
-        dense = np.eye(5)
-        dense[0, 4] = 1.0
-        with pytest.raises(ValueError, match="bandwidth"):
-            BandedSystem.from_dense(dense, 1, np.ones(5))
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, 3)
+        matrices, loads = system.matrices.copy(), system.loads.copy()
+        solve(system)
+        np.testing.assert_array_equal(system.matrices, matrices)
+        np.testing.assert_array_equal(system.loads, loads)
+        assert not system.matrices.flags.writeable and not system.loads.flags.writeable
+
+    def test_nan_in_element_matrix_raises(self):
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, 3)
+        for entry in [(3, 0, 0), (3, 0, 2), (3, 1, 2), (3, 2, 3), (7, 0, 1)]:
+            matrices = system.matrices.copy()
+            matrices[entry] = np.nan
+            broken = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
+            with pytest.raises(SingularMatrixError):
+                solve(broken)
+
+    def test_boundary_rows_and_columns_are_not_part_of_the_system(self):
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, 3)
+        expected = solve(system)
+        for entry in [(0, 0, 0), (0, 1, 0), (0, 0, 2), (7, 1, 3), (7, 3, 0)]:
+            matrices = system.matrices.copy()
+            matrices[entry] = np.nan
+            changed = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
+            np.testing.assert_array_equal(solve(changed), expected)
+
+    def test_singular_interior_block_names_element(self):
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, 3)
+        matrices = system.matrices.copy()
+        matrices[5, 1:3, 1:3] = 0.0
+        broken = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
+        with pytest.raises(SingularMatrixError, match="element 5") as info:
+            solve(broken)
+        assert info.value.element == 5
 
     def test_residual_criterion_on_large_layer_system(self):
         bvp = layer_test_problem(1e-6)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=1024, sigma=5.0, epsilon=1e-6))
         system = assemble(bvp, mesh, 4)
         x = solve(system)
-        residual = _banded_matvec(system, x) - system.rhs
-        norm_a = np.max(np.sum(np.abs(system.rows), axis=1))
+        residual = _element_matvec(system, x) - system.rhs
+        norm_a = np.max(np.sum(np.abs(_assembled_band(system)), axis=1))
         bound = 1e-9 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(system.rhs)))
         assert np.max(np.abs(residual)) <= bound
 
 
-def _banded_matvec(system, x):
-    n, k = system.dimension, system.bandwidth
-    padded = np.zeros(n + 3 * k + 1)
-    padded[k : k + n] = x
-    out = np.zeros(n)
-    for t in range(3 * k + 1):
-        out += system.rows[:, t] * padded[t : t + n]
-    return out
+def _element_matvec(system, x):
+    """A @ x as the sum of the element products on the global nodes."""
+    k, n_elem = system.degree, system.matrices.shape[0]
+    full = np.concatenate([[0.0], x, [0.0]])
+    nodes = k * np.arange(n_elem)[:, None] + np.arange(k + 1)[None, :]
+    local = np.einsum("nab,nb->na", system.matrices, full[nodes])
+    out = np.zeros_like(full)
+    np.add.at(out, nodes, local)
+    return out[1:-1]
+
+
+def _assembled_band(system):
+    """The global matrix as rows of its 2k+1 diagonals: band[i, k + j - i] = A[i, j]."""
+    k, n_elem = system.degree, system.matrices.shape[0]
+    a, b = np.indices((k + 1, k + 1))
+    rows = k * np.arange(n_elem)[:, None, None] + a[None]
+    cols = k * np.arange(n_elem)[:, None, None] + b[None]
+    last = k * n_elem
+    keep = (rows > 0) & (rows < last) & (cols > 0) & (cols < last)
+    band = np.zeros((last - 1, 2 * k + 1))
+    np.add.at(band, (rows[keep] - 1, (cols - rows + k)[keep]), system.matrices[keep])
+    return band
 
 
 class TestGalerkinSolve:
@@ -306,6 +414,39 @@ class TestGalerkinSolve:
         fem = galerkin_solve(bvp, mesh, 1)
         tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, 1e-8)
         assert tri.e_energy == pytest.approx(0.167, rel=0.02)
+
+    @pytest.mark.parametrize("k, n_elem", [(4, 1024), (2, 2048)])
+    def test_roundoff_regime_l2_error(self, k, n_elem):
+        # With eps << h the interior blocks have O(h) diagonals, and the
+        # interior values magnify the error of the vertex values by up to ~N;
+        # without the refinement step these read 1.2e-11 and 8.6e-12.
+        eps = 1e-9
+        sigma, c1 = defaults_for(k)
+        bvp = layer_test_problem(eps)
+        mesh = generate(
+            MeshSpec(family=MeshFamily.KOPTEVA, N=n_elem, sigma=sigma, epsilon=eps, c1=c1)
+        )
+        fem = galerkin_solve(bvp, mesh, k)
+        assert error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps).e_l2 <= 1e-13
+
+    def test_solver_does_not_import_scipy(self):
+        # Importing scipy.linalg costs more start-up time and memory than the
+        # whole solve; keep it out of the import graph.
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, layerfem\n"
+            "eps = 1e-6\n"
+            "spec = layerfem.MeshSpec(family=layerfem.MeshFamily.ROOS, N=64, sigma=3.0, epsilon=eps)\n"
+            "layerfem.galerkin_solve(layerfem.layer_test_problem(eps), layerfem.generate(spec), 2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert run.stdout.strip() == "[]"
 
     def test_bitwise_deterministic(self):
         bvp = layer_test_problem(1e-7)

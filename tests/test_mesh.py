@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfem import (
     MeshAssumptionWarning,
@@ -74,6 +77,40 @@ class TestGenerate:
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(ValueError, match="breakpoint"):
             MeshSpec(family=MeshFamily.KOPTEVA, N=8, sigma=2.0, epsilon=0.01, c1=60.0)
+
+    def test_rejects_layer_wider_than_domain(self):
+        # sigma*eps*ln(1/eps) = 3.54 with eps <= 1/N: the graded part would
+        # end past x = 1.
+        with pytest.raises(ValueError, match=r"roos mesh needs sigma\*eps\*ln\(1/eps\) < 1"):
+            MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.2)
+        for family in (MeshFamily.KOPTEVA, MeshFamily.ORIGINAL):
+            with pytest.raises(ValueError, match=r"sigma\*eps\*ln\(1/\(2\*c\*eps\)\) < 1"):
+                MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1, c_eps=0.1)
+        # Above eps = 1/N the mesh is uniform and the graded map never runs.
+        assert generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.3)).spec.family is MeshFamily.UNIFORM
+
+    def test_rejects_eps_below_float_resolution_of_roos_map(self):
+        with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
+            MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=1e-17)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(list(MeshFamily)),
+        N=st.integers(2, 1024).map(lambda n: 2 * n),
+        sigma=st.floats(1.0, 50.0),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        const=st.floats(0.01, 50.0),
+    )
+    def test_spec_is_rejected_by_name_or_nodes_increase(self, family, N, sigma, eps, const):
+        try:
+            spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=const, c_eps=const)
+        except ValueError as exc:
+            assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeshAssumptionWarning)
+            mesh = generate(spec)
+        assert np.all(np.diff(mesh.nodes) > 0.0)
 
     def test_kopteva_requires_c1(self):
         with pytest.raises(ValueError, match="c1"):
