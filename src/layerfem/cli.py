@@ -136,24 +136,13 @@ def _single(values, name: str, default=None):
     return values
 
 
-def _mesh_params(args: argparse.Namespace, k: int) -> tuple[float, float]:
-    """(sigma, c1): the flags where given, else the degree-k defaults."""
-    sigma, c1 = defaults_for(k)
-    return (
-        sigma if args.sigma is None else args.sigma,
-        c1 if args.c1 is None else args.c1,
-    )
-
-
 def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> tuple[MeshSpec, float]:
     n_intervals = _single(args.N, "N")
     eps = _single(args.epsilon, "epsilon")
     family = _single(args.mesh_type, "mesh-type")
-    if family not in _FAMILY_CHOICES:
-        raise ValueError(f"unknown mesh family {family!r}")
-    sigma, c1 = _mesh_params(args, k or 1)
+    sigma, c1 = defaults_for(k or 1, args.sigma, args.c1)
     spec = MeshSpec(
-        family=MeshFamily(family),
+        family=family,
         N=n_intervals,
         sigma=sigma,
         epsilon=eps,
@@ -207,15 +196,18 @@ def _cmd_solve(args: argparse.Namespace) -> None:
 
 
 def _cmd_study(args: argparse.Namespace) -> None:
-    families = tuple(args.mesh_type) if args.mesh_type else ("roos", "kopteva")
+    # Repeatable flags that were not given keep StudyConfig's defaults.
+    lists = {
+        "families": args.mesh_type,
+        "k_list": args.k,
+        "N_list": args.N,
+        "epsilons": args.epsilon,
+    }
     config = StudyConfig(
-        families=families,
-        k_list=tuple(args.k) if args.k else (1, 2, 3, 4),
         sigma=args.sigma,
         c1=args.c1,
-        N_list=tuple(args.N) if args.N else None,
-        epsilons=tuple(args.epsilon) if args.epsilon else DEFAULT_EPSILONS,
         problem=args.problem,
+        **{key: tuple(values) for key, values in lists.items() if values},
     )
     result = run_study(config)
     failed = [r for r in result.records if r.error is not None]
@@ -230,21 +222,19 @@ def _cmd_study(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> None:
     family = _single(args.mesh_type, "mesh-type", default="roos")
-    if family not in _FAMILY_CHOICES:
-        raise ValueError(f"unknown mesh family {family!r}")
     k_values = tuple(args.k) if args.k else (1, 2)
     n_values = tuple(args.N) if args.N else (64, 128, 256, 512)
     epsilons = tuple(args.epsilon) if args.epsilon else DEFAULT_EPSILONS
 
     lines = []
     for k in k_values:
-        sigma, c1 = _mesh_params(args, k)
+        sigma, c1 = defaults_for(k, args.sigma, args.c1)
         lines.append(f"mesh step-size checks ({family}, k = {k}, sigma = {sigma:g}, c1 = {c1:g})")
         all_hold = True
         for eps in epsilons:
             for n_intervals in n_values:
                 spec = MeshSpec(
-                    family=MeshFamily(family),
+                    family=family,
                     N=n_intervals,
                     sigma=sigma,
                     epsilon=eps,

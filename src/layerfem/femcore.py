@@ -24,8 +24,7 @@ if TYPE_CHECKING:
     from .problem import TwoPointBVP
 
 __all__ = [
-    "ReferenceBasis",
-    "QuadratureRule",
+    "shape_tables",
     "gauss_legendre",
     "ElementSystem",
     "TridiagonalLU",
@@ -56,73 +55,47 @@ class SingularMatrixError(RuntimeError):
         self.element = element
 
 
-class ReferenceBasis:
-    """Lagrange shape functions of degree k on the k+1 equidistant nodes of [0, 1]."""
-
-    def __init__(self, degree: int):
-        if degree < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {degree}")
-        self.degree = degree
-        self.nodes = np.linspace(0.0, 1.0, degree + 1)
-
-    def shape_value(self, j: int, t) -> np.ndarray:
-        """Value of shape function j at reference coordinates t."""
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        tj = self.nodes[j]
-        for m, tm in enumerate(self.nodes):
-            if m != j:
-                out = out * ((t - tm) / (tj - tm))
-        return out
-
-    def shape_derivative(self, j: int, t) -> np.ndarray:
-        """First derivative of shape function j at reference coordinates t."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        tj = self.nodes[j]
-        for m, tm in enumerate(self.nodes):
-            if m == j:
-                continue
-            term = np.ones_like(t) / (tj - tm)
-            for l, tl in enumerate(self.nodes):
-                if l != j and l != m:
-                    term = term * ((t - tl) / (tj - tl))
-            out = out + term
-        return out
-
-    def eval_all(self, t) -> np.ndarray:
-        """Shape function values, stacked as a (k+1, len(t)) array."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack([self.shape_value(j, t) for j in range(self.degree + 1)])
-
-    def deriv_all(self, t) -> np.ndarray:
-        """Shape function derivatives, stacked as a (k+1, len(t)) array."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack([self.shape_derivative(j, t) for j in range(self.degree + 1)])
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Quadrature points and weights on [0, 1]."""
+def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first derivatives at reference coordinates t of the degree-k
+    Lagrange shape functions on the k+1 equidistant nodes of [0, 1].
 
-    points: np.ndarray
-    weights: np.ndarray
+    Returns two (k+1, len(t)) arrays; row j belongs to shape function j.
+    Both are evaluated in product form: phi_j is the product over m != j of
+    (t - t_m)/(t_j - t_m), and phi_j' the sum over m != j of the same
+    product with factor m replaced by 1/(t_j - t_m).
+    """
+    if degree < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {degree}")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    nodes = np.linspace(0.0, 1.0, degree + 1)
+    values = np.ones((degree + 1,) + t.shape)
+    derivatives = np.zeros((degree + 1,) + t.shape)
+    for j, tj in enumerate(nodes):
+        others = [m for m in range(degree + 1) if m != j]
+        for m in others:
+            values[j] *= (t - nodes[m]) / (tj - nodes[m])
+            term = np.full(t.shape, 1.0 / (tj - nodes[m]))
+            for l in others:
+                if l != m:
+                    term *= (t - nodes[l]) / (tj - nodes[l])
+            derivatives[j] += term
+    return values, derivatives
 
-    def __post_init__(self) -> None:
-        if self.points.shape != self.weights.shape or self.points.ndim != 1:
-            raise ValueError("points and weights must be 1D arrays of equal length")
 
-    @property
-    def count(self) -> int:
-        return self.points.size
-
-
-def gauss_legendre(q: int) -> QuadratureRule:
-    """Gauss-Legendre rule with q points on [0, 1]; exact for degree <= 2q - 1."""
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the q-point Gauss-Legendre rule on [0, 1], read-only;
+    exact for degree <= 2q - 1."""
     if q < 1:
         raise ValueError(f"need at least one quadrature point, got {q}")
     pts, wts = np.polynomial.legendre.leggauss(q)
-    return QuadratureRule(points=0.5 * (pts + 1.0), weights=0.5 * wts)
+    return _frozen(0.5 * (pts + 1.0), 0.5 * wts)
 
 
 def global_nodes(mesh: Mesh1D, degree: int) -> np.ndarray:
@@ -165,46 +138,30 @@ class PiecewisePolynomial:
         idx = k * np.arange(self.mesh.N)[:, None] + np.arange(k + 1)[None, :]
         return self.coefficients[idx]
 
-    def _locate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        xf = np.atleast_1d(x_arr).ravel()
-        elems = np.clip(
-            np.searchsorted(self.mesh.nodes, xf, side="right") - 1, 0, self.mesh.N - 1
-        )
-        xi = (xf - self.mesh.nodes[elems]) / self.mesh.steps[elems]
-        return xf, elems, xi, scalar
-
     def evaluate(self, x):
         """Evaluate at x (scalar or array)."""
-        xf, elems, xi, scalar = self._locate(x)
-        basis = ReferenceBasis(self.degree)
-        out = np.zeros_like(xf)
-        for a in range(self.degree + 1):
-            out += self.coefficients[self.degree * elems + a] * basis.shape_value(a, xi)
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        return self._evaluate(x, derivative=False)
 
     def derivative(self, x):
         """Evaluate the first derivative at x (scalar or array)."""
-        xf, elems, xi, scalar = self._locate(x)
-        basis = ReferenceBasis(self.degree)
+        return self._evaluate(x, derivative=True)
+
+    def _evaluate(self, x, derivative: bool):
+        x_arr = np.asarray(x, dtype=float)
+        xf = x_arr.ravel()
+        elems = np.clip(
+            np.searchsorted(self.mesh.nodes, xf, side="right") - 1, 0, self.mesh.N - 1
+        )
+        h = self.mesh.steps[elems]
+        values, slopes = shape_tables(self.degree, (xf - self.mesh.nodes[elems]) / h)
         out = np.zeros_like(xf)
-        for a in range(self.degree + 1):
-            out += self.coefficients[self.degree * elems + a] * basis.shape_derivative(a, xi)
-        out /= self.mesh.steps[elems]
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        for a, row in enumerate(slopes if derivative else values):
+            out += self.coefficients[self.degree * elems + a] * row
+        if derivative:
+            out /= h
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     __call__ = evaluate
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,26 +223,23 @@ class ElementSystem:
 
 @functools.lru_cache(maxsize=32)
 def _element_tables(degree: int, q: int) -> tuple[np.ndarray, ...]:
-    """Gauss points and weights on [0, 1] and the reference tables of the
-    element integrals.
+    """Reference tables of the element integrals for the q-point Gauss rule.
 
-    Besides the rule, returns the flattened (k+1)^2 reference stiffness
-    matrix, the per-point products phi_a*phi_b' and phi_a*phi_b (both
-    (q, (k+1)^2)) and the shape values ((q, k+1)): an element's convection,
-    mass and load are a coefficient's weighted values at the points times one
-    of these tables.
+    Returns the flattened (k+1)^2 reference stiffness matrix, the per-point
+    products phi_a*phi_b' and phi_a*phi_b (both (q, (k+1)^2)) and the shape
+    values ((q, k+1)): an element's convection, mass and load are a
+    coefficient's weighted values at the Gauss points times one of these
+    tables.
     """
-    rule = gauss_legendre(q)
-    basis = ReferenceBasis(degree)
-    shp = basis.eval_all(rule.points)
-    dshp = basis.deriv_all(rule.points)
+    points, weights = gauss_legendre(q)
+    shp, dshp = shape_tables(degree, points)
     # The round-off floor of the k = 4 errors at N = 1024 depends on the last
     # bits of this matrix: summed as (dshp*w) @ dshp.T instead, e_inf there
     # rises from ~2e-11 to ~4.5e-11.
-    stiff = np.einsum("aq,bq,q->ab", dshp, dshp, rule.weights)
+    stiff = np.einsum("aq,bq,q->ab", dshp, dshp, weights)
     conv = np.einsum("aq,bq->qab", shp, dshp).reshape(q, -1)
     mass = np.einsum("aq,bq->qab", shp, shp).reshape(q, -1)
-    return _frozen(rule.points, rule.weights, stiff.ravel(), conv, mass, shp.T.copy())
+    return _frozen(stiff.ravel(), conv, mass, shp.T.copy())
 
 
 def _weighted(fn, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -307,7 +261,8 @@ def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | N
         raise ValueError("mesh nodes must be strictly increasing")
     k = degree
     q = k + 2 if quad_points is None else quad_points
-    xi, w, stiff, conv, mass, shp = _element_tables(k, q)
+    xi, w = gauss_legendre(q)
+    stiff, conv, mass, shp = _element_tables(k, q)
     h = mesh.steps
     x_q = mesh.nodes[:-1, None] + h[:, None] * xi[None, :]   # (N, q)
 

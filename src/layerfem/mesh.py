@@ -46,8 +46,10 @@ class MeshSpec:
 
     Parameters
     ----------
-    family : MeshFamily
-        Which generating function to use.
+    family : MeshFamily or str
+        Which generating function to use; a family name such as ``"roos"``
+        is converted to its :class:`MeshFamily` (an unknown name raises a
+        ValueError).
     N : int
         Number of mesh intervals; must be even and at least 4.
     sigma : float
@@ -74,6 +76,7 @@ class MeshSpec:
     c_eps: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", MeshFamily(self.family))
         if self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
         if self.sigma < 1.0:
@@ -222,9 +225,13 @@ def generate(spec: MeshSpec) -> Mesh1D:
 class StepSizeChecks:
     """Pass/fail record of the graded-mesh step-size bounds.
 
-    The four bounds hold for both Bakhvalov-type families whenever
-    epsilon <= 1/N and the breakpoint constant satisfies its admissibility
-    condition.  ``midpoint_left_of_half`` is a diagnostic, not a guarantee.
+    The four bounds are verified for roos and kopteva with sigma in
+    {2, 3, 4, 5}, c1 = 2.5, epsilon in {1e-4, ..., 1e-9} and N in
+    {8, ..., 2048}, so epsilon*N <= 0.21 throughout.  Admissibility alone
+    does not guarantee them: for larger epsilon*N they can fail without a
+    :class:`MeshAssumptionWarning` (roos, N = 12, epsilon = 0.06875,
+    sigma = 3.157 has coarse steps below 1/N).  ``midpoint_left_of_half``
+    is a diagnostic, not a guarantee.
     """
 
     fine_steps_nondecreasing: bool

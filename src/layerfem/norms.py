@@ -19,10 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, ReferenceBasis, _frozen, gauss_legendre
-from .mesh import Mesh1D
+from .femcore import PiecewisePolynomial, _frozen, gauss_legendre, shape_tables
 
-__all__ = ["ErrorTriple", "error_norms", "distance_norms"]
+__all__ = ["ErrorTriple", "error_norms"]
 
 _REL_TOL = 1e-10
 _START_PANELS = 4
@@ -46,11 +45,10 @@ class ErrorTriple:
 def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...]:
     """Points and weights of ``panels`` copies of the q-point Gauss rule stacked
     on [0, 1], with the shape function values and derivatives there."""
-    rule = gauss_legendre(q)
-    pts = ((np.arange(panels, dtype=float)[:, None] + rule.points[None, :]) / panels).ravel()
-    wts = np.tile(rule.weights / panels, panels)
-    basis = ReferenceBasis(degree)
-    return _frozen(pts, wts, basis.eval_all(pts), basis.deriv_all(pts))
+    points, weights = gauss_legendre(q)
+    pts = ((np.arange(panels, dtype=float)[:, None] + points[None, :]) / panels).ravel()
+    wts = np.tile(weights / panels, panels)
+    return _frozen(pts, wts, *shape_tables(degree, pts))
 
 
 @functools.lru_cache(maxsize=128)
@@ -58,11 +56,23 @@ def _sample_table(degree: int) -> tuple[np.ndarray, ...]:
     """Max-norm sample points (an even grid plus the element's own nodes) and
     the shape function values there."""
     pts = np.union1d(np.linspace(0.0, 1.0, _INF_SAMPLES), np.arange(degree + 1) / degree)
-    return _frozen(pts, ReferenceBasis(degree).eval_all(pts))
+    return _frozen(pts, shape_tables(degree, pts)[0])
 
 
 def _at(fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x), float), x.shape)
+
+
+def _value_error(fn: Callable, x: np.ndarray, c: np.ndarray, shape: np.ndarray):
+    """fn - fem at the points x, and the size of the values subtracted."""
+    u = _at(fn, x)
+    return u - c @ shape, np.abs(u) + np.abs(c) @ np.abs(shape)
+
+
+def _slope_error(fn: Callable, x: np.ndarray, c: np.ndarray, slope: np.ndarray, h: np.ndarray):
+    """fn - fem' at the points x, and the size of the values subtracted."""
+    du = _at(fn, x)
+    return du - (c @ slope) / h, np.abs(du) + (np.abs(c) @ np.abs(slope)) / h
 
 
 def _integral(diff: np.ndarray, scale: np.ndarray, h: np.ndarray, w: np.ndarray):
@@ -80,26 +90,33 @@ def _settled(new, old, noise) -> np.ndarray:
     return np.abs(new - old) <= _REL_TOL * np.maximum(np.abs(new), np.abs(old)) + noise
 
 
-def _adaptive_integrals(values, slopes, mesh: Mesh1D, degree: int) -> tuple[float, float]:
-    """Element-adaptive integrals of diff^2 and (diff')^2 over the mesh.
+def error_norms(
+    fem: PiecewisePolynomial,
+    exact_u: Callable,
+    exact_du: Callable,
+    epsilon: float,
+) -> ErrorTriple:
+    """Norms of exact - fem over the fem's mesh.
 
-    ``values(elems, x, shape)`` and ``slopes(elems, x, slope)`` must return
-    the error (respectively its derivative) at the points ``x`` of the
-    selected elements, and the size of the values subtracted to form it, each
-    shaped like ``x``; ``shape`` and ``slope`` are the shape function values
-    and derivatives at the matching local points.
+    ``exact_u`` and ``exact_du`` must accept numpy arrays.
     """
+    mesh, degree = fem.mesh, fem.degree
     h, left = mesh.steps, mesh.nodes[:-1]
-    q = degree + 3
+    coeff = fem.element_coefficients()
 
     def level(elems, panels):
-        pts, wts, shape, slope = _quadrature_table(degree, q, panels)
+        # Integrals of the error squared and of its derivative squared on the
+        # elements ``elems``, each with its round-off bound.
+        pts, wts, shape, slope = _quadrature_table(degree, degree + 3, panels)
         he = h[elems]
         x = left[elems, None] + he[:, None] * pts
-        return (*_integral(*values(elems, x, shape), he, wts),
-                *_integral(*slopes(elems, x, slope), he, wts))
+        c, hc = coeff[elems], he[:, None]
+        return (
+            *_integral(*_value_error(exact_u, x, c, shape), he, wts),
+            *_integral(*_slope_error(exact_du, x, c, slope, hc), he, wts),
+        )
 
-    active = np.arange(h.size)
+    active = np.arange(mesh.N)
     val2, val_noise, der2, der_noise = level(active, _START_PANELS)
     panels = 2 * _START_PANELS
     while active.size and panels <= _MAX_PANELS:
@@ -111,69 +128,13 @@ def _adaptive_integrals(values, slopes, mesh: Mesh1D, degree: int) -> tuple[floa
         der2[active], der_noise[active] = new_d, noise_d
         active = active[~settled]
         panels *= 2
-    # Fixed element order keeps the reduction deterministic.
-    return float(np.sum(val2)), float(np.sum(der2))
 
-
-def _triple(values, slopes, mesh: Mesh1D, degree: int, epsilon: float) -> ErrorTriple:
-    val2, der2 = _adaptive_integrals(values, slopes, mesh, degree)
     pts, shape = _sample_table(degree)
-    x = mesh.nodes[:-1, None] + mesh.steps[:, None] * pts
-    diff, _ = values(np.arange(mesh.N), x, shape, scaled=False)
+    diff = _at(exact_u, left[:, None] + h[:, None] * pts) - coeff @ shape
+    # Fixed element order keeps the reductions deterministic.
+    val2, der2 = float(np.sum(val2)), float(np.sum(der2))
     return ErrorTriple(
         e_inf=float(np.max(np.abs(diff))),
         e_l2=math.sqrt(val2),
         e_energy=math.sqrt(epsilon * der2 + val2),
     )
-
-
-def error_norms(
-    fem: PiecewisePolynomial,
-    exact_u: Callable,
-    exact_du: Callable,
-    epsilon: float,
-) -> ErrorTriple:
-    """Norms of exact - fem over the fem's mesh.
-
-    ``exact_u`` and ``exact_du`` must accept numpy arrays.
-    """
-    h = fem.mesh.steps
-    coeff = fem.element_coefficients()
-
-    def values(elems, x, shape, scaled=True):
-        u = _at(exact_u, x)
-        c = coeff[elems]
-        diff = u - c @ shape
-        return diff, (np.abs(u) + np.abs(c) @ np.abs(shape) if scaled else None)
-
-    def slopes(elems, x, slope):
-        du = _at(exact_du, x)
-        c, he = coeff[elems], h[elems, None]
-        return du - (c @ slope) / he, np.abs(du) + (np.abs(c) @ np.abs(slope)) / he
-
-    return _triple(values, slopes, fem.mesh, fem.degree, epsilon)
-
-
-def distance_norms(
-    u: Callable,
-    du: Callable,
-    v: Callable,
-    dv: Callable,
-    epsilon: float,
-    mesh: Mesh1D,
-    degree: int,
-) -> ErrorTriple:
-    """Norms of u - v for two plain functions, integrated elementwise on ``mesh``.
-
-    Symmetric in its two function pairs: swapping (u, du) with (v, dv)
-    returns identical values.
-    """
-
-    def pair(f, g):
-        def diff_at(elems, x, _basis, scaled=True):
-            a, b = _at(f, x), _at(g, x)
-            return a - b, (np.abs(a) + np.abs(b) if scaled else None)
-
-        return diff_at
-
-    return _triple(pair(u, v), pair(du, dv), mesh, degree, epsilon)

@@ -40,9 +40,15 @@ DEFAULT_EPSILONS = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 _RATE_FLOOR = 1e-13
 
 
-def defaults_for(k: int) -> tuple[float, float]:
-    """Default mesh parameters (sigma, c1) = (k + 1, 5(k+1)/4) for degree k."""
-    return float(k + 1), 5.0 * (k + 1) / 4.0
+def defaults_for(
+    k: int, sigma: float | None = None, c1: float | None = None
+) -> tuple[float, float]:
+    """Mesh parameters (sigma, c1) for degree k: ``sigma`` and ``c1`` where
+    given, else the defaults (k + 1, 5(k+1)/4)."""
+    return (
+        float(k + 1) if sigma is None else sigma,
+        5.0 * (k + 1) / 4.0 if c1 is None else c1,
+    )
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,10 @@ class StudyConfig:
             raise ValueError("families, k_list and epsilons must be nonempty")
 
     def sigma_for(self, k: int) -> float:
-        return defaults_for(k)[0] if self.sigma is None else self.sigma
+        return defaults_for(k, self.sigma, self.c1)[0]
 
     def c1_for(self, k: int) -> float:
-        return defaults_for(k)[1] if self.c1 is None else self.c1
+        return defaults_for(k, self.sigma, self.c1)[1]
 
     def n_list_for(self, k: int) -> tuple[int, ...]:
         if self.N_list is not None:
@@ -151,7 +157,7 @@ def _single_run(
         if bvp.exact is None:
             raise ValueError(f"problem {problem!r} has no exact solution to measure against")
         spec = MeshSpec(
-            family=MeshFamily(family), N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
+            family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
         )
         mesh = generate(spec)
         fem = galerkin_solve(bvp, mesh, k)
@@ -304,9 +310,7 @@ def interpolation_study(
     Used by the ``verify`` CLI command and the interpolation-rate checks;
     sigma and c1 default to :func:`defaults_for`.
     """
-    default_sigma, default_c1 = defaults_for(k)
-    sigma = default_sigma if sigma is None else sigma
-    c1 = default_c1 if c1 is None else c1
+    sigma, c1 = defaults_for(k, sigma, c1)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
     rows = []
@@ -315,7 +319,7 @@ def interpolation_study(
         for eps in epsilons:
             bvp = get_problem(problem, eps)
             spec = MeshSpec(
-                family=MeshFamily(family), N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
+                family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
             )
             mesh = generate(spec)
             interp = lagrange_interp(bvp.exact.u, mesh, k)

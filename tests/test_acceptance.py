@@ -24,11 +24,11 @@ from layerfem import (
     Mesh1D,
     MeshFamily,
     MeshSpec,
+    PiecewisePolynomial,
     StudyConfig,
     TwoPointBVP,
     assemble,
     check_step_sizes,
-    distance_norms,
     error_norms,
     fitted_rate,
     galerkin_solve,
@@ -253,9 +253,9 @@ def test_criterion_7_oracle_suites():
     # Quadrature closed form: ||x(1-x)||_eps with eps = 1.
     v = lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))
     dv = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     grid = generate(MeshSpec(family=MeshFamily.UNIFORM, N=4, sigma=1.0, epsilon=0.5))
-    energy = distance_norms(v, dv, zero, zero, 1.0, grid, 2).e_energy
+    zero = PiecewisePolynomial(mesh=grid, degree=2, coefficients=np.zeros(2 * grid.N + 1))
+    energy = error_norms(zero, v, dv, 1.0).e_energy
     target = math.sqrt(1.0 / 30.0 + 1.0 / 3.0)
     if abs(energy - target) / target > 1e-12:
         failures.append(f"quadrature closed form: {energy!r} vs {target!r}")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from layerfem import StudyConfig, StudyResult
 from layerfem.cli import main
 
 
@@ -107,6 +108,22 @@ class TestStudyCommand:
         out = capsys.readouterr().out
         assert "1e-07" in out      # flag overrides the file value
         assert "0.01" not in out
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], StudyConfig()),
+            (["--k", "2", "--sigma", "3", "--epsilon", "1e-7"],
+             StudyConfig(k_list=(2,), sigma=3.0, epsilons=(1e-7,))),
+        ],
+    )
+    def test_flags_not_given_keep_study_config_defaults(self, monkeypatch, capsys, flags, expected):
+        seen = []
+        monkeypatch.setattr(
+            "layerfem.cli.run_study", lambda config: seen.append(config) or StudyResult()
+        )
+        assert main(["study", "--format", "csv", *flags]) == 0
+        assert seen == [expected]
 
     def test_config_file_bad_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -15,7 +15,6 @@ from layerfem import (
     MeshFamily,
     MeshSpec,
     PiecewisePolynomial,
-    ReferenceBasis,
     SingularMatrixError,
     TwoPointBVP,
     assemble,
@@ -26,6 +25,7 @@ from layerfem import (
     generate,
     global_nodes,
     layer_test_problem,
+    shape_tables,
     solve,
 )
 from layerfem.femcore import TridiagonalLU
@@ -57,47 +57,80 @@ def manufactured_poly_problem(epsilon, degree):
     return poly_coefficient_problem(epsilon, f_poly), p, dp
 
 
+def reference_shape(k, j, t, derivative=False):
+    """Shape function j of degree k, or its derivative, one function at a
+    time in the product form (the per-function evaluator ``shape_tables``
+    replaced)."""
+    nodes = np.linspace(0.0, 1.0, k + 1)
+    others = [m for m in range(k + 1) if m != j]
+    if not derivative:
+        out = np.ones_like(t)
+        for m in others:
+            out = out * ((t - nodes[m]) / (nodes[j] - nodes[m]))
+        return out
+    out = np.zeros_like(t)
+    for m in others:
+        term = np.ones_like(t) / (nodes[j] - nodes[m])
+        for l in others:
+            if l != m:
+                term = term * ((t - nodes[l]) / (nodes[j] - nodes[l]))
+        out = out + term
+    return out
+
+
 class TestReferenceBasis:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_kronecker_delta_exact(self, k):
-        basis = ReferenceBasis(k)
-        table = basis.eval_all(basis.nodes)
-        np.testing.assert_array_equal(table, np.eye(k + 1))
+        values, _ = shape_tables(k, np.linspace(0.0, 1.0, k + 1))
+        np.testing.assert_array_equal(values, np.eye(k + 1))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_partition_of_unity(self, k):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.0, 1.0, 100)
-        total = ReferenceBasis(k).eval_all(pts).sum(axis=0)
+        total = shape_tables(k, pts)[0].sum(axis=0)
         np.testing.assert_allclose(total, 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_derivative_matches_finite_differences(self, k):
-        basis = ReferenceBasis(k)
         pts = np.linspace(0.07, 0.93, 9)
         step = 1e-6
+        fd = (shape_tables(k, pts + step)[0] - shape_tables(k, pts - step)[0]) / (2 * step)
+        np.testing.assert_allclose(shape_tables(k, pts)[1], fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_tables_match_per_function_reference_bit_for_bit(self, k):
+        # The k = 4, N = 1024 round-off rows depend on the last bits of these
+        # tables, so the batched form must keep the reference's arithmetic.
+        rng = np.random.default_rng(k)
+        pts = np.concatenate([gauss_legendre(k + 3)[0], rng.uniform(0.0, 1.0, 50)])
+        values, slopes = shape_tables(k, pts)
         for j in range(k + 1):
-            fd = (basis.shape_value(j, pts + step) - basis.shape_value(j, pts - step)) / (
-                2 * step
-            )
-            np.testing.assert_allclose(basis.shape_derivative(j, pts), fd, rtol=1e-6, atol=1e-8)
+            np.testing.assert_array_equal(values[j], reference_shape(k, j, pts))
+            np.testing.assert_array_equal(slopes[j], reference_shape(k, j, pts, True))
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
-            ReferenceBasis(0)
+            shape_tables(0, [0.5])
 
 
 class TestQuadrature:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
     def test_monomial_exactness(self, q):
-        rule = gauss_legendre(q)
+        points, weights = gauss_legendre(q)
         for m in range(2 * q):
-            approx = float(np.sum(rule.weights * rule.points**m))
+            approx = float(np.sum(weights * points**m))
             assert approx == pytest.approx(1.0 / (m + 1), rel=1e-13)
 
     def test_weights_sum_to_one(self):
-        rule = gauss_legendre(5)
-        assert float(np.sum(rule.weights)) == pytest.approx(1.0, rel=1e-15)
+        _, weights = gauss_legendre(5)
+        assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_cached_rule_is_read_only(self):
+        points, weights = gauss_legendre(3)
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        assert gauss_legendre(3)[1] is weights
 
 
 class TestAssembly:

@@ -112,6 +112,21 @@ class TestGenerate:
             mesh = generate(spec)
         assert np.all(np.diff(mesh.nodes) > 0.0)
 
+    @pytest.mark.parametrize("family", list(MeshFamily))
+    def test_family_name_builds_the_same_mesh_as_the_enum(self, family):
+        kwargs = dict(N=8, sigma=2.0, epsilon=1e-6, c1=2.5)
+        by_name = MeshSpec(family=family.value, **kwargs)
+        assert by_name.family is family
+        np.testing.assert_array_equal(
+            generate(by_name).nodes, generate(MeshSpec(family=family, **kwargs)).nodes
+        )
+
+    def test_unknown_family_name_is_rejected(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            MeshSpec(family="nonsense", N=8, sigma=2.0, epsilon=1e-6)
+        with pytest.raises(ValueError, match="c1"):
+            MeshSpec(family="kopteva", N=8, sigma=2.0, epsilon=1e-6)
+
     def test_kopteva_requires_c1(self):
         with pytest.raises(ValueError, match="c1"):
             MeshSpec(family=MeshFamily.KOPTEVA, N=8, sigma=2.0, epsilon=0.01)

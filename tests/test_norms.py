@@ -10,8 +10,8 @@ from numpy.polynomial import Polynomial
 from layerfem import (
     MeshFamily,
     MeshSpec,
+    PiecewisePolynomial,
     defaults_for,
-    distance_norms,
     error_norms,
     galerkin_solve,
     generate,
@@ -23,9 +23,6 @@ from layerfem.norms import _MAX_PANELS, _START_PANELS
 
 def uniform_mesh(N=4):
     return generate(MeshSpec(family=MeshFamily.UNIFORM, N=N, sigma=1.0, epsilon=0.5))
-
-
-ZERO = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
 class TestErrorNorms:
@@ -46,7 +43,9 @@ class TestErrorNorms:
         # (1-2x)^2 is 1/3.
         v = lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))
         dv = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
-        tri = distance_norms(v, dv, ZERO, ZERO, epsilon=1.0, mesh=uniform_mesh(4), degree=2)
+        mesh = uniform_mesh(4)
+        zero = PiecewisePolynomial(mesh=mesh, degree=2, coefficients=np.zeros(2 * mesh.N + 1))
+        tri = error_norms(zero, v, dv, epsilon=1.0)
         assert tri.e_energy == pytest.approx(math.sqrt(1.0 / 30.0 + 1.0 / 3.0), rel=1e-12)
         assert tri.e_l2 == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-12)
 
@@ -74,16 +73,6 @@ class TestErrorNorms:
         gap = error_norms(coarse, fine.evaluate, fine.derivative, 0.1)
         direct = error_norms(coarse, f, df, 0.1)
         assert gap.e_energy == pytest.approx(direct.e_energy, rel=1e-3)
-
-    def test_symmetry_of_distance(self):
-        f = lambda x: np.sin(np.pi * np.asarray(x, dtype=float))
-        df = lambda x: np.pi * np.cos(np.pi * np.asarray(x, dtype=float))
-        g = lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))
-        dg = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
-        mesh = uniform_mesh(8)
-        fwd = distance_norms(f, df, g, dg, 0.01, mesh, 2)
-        bwd = distance_norms(g, dg, f, df, 0.01, mesh, 2)
-        assert fwd == bwd
 
     def test_triple_orderings(self):
         eps = 1e-6
