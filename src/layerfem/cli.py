@@ -30,7 +30,8 @@ from .study import (
 _FAMILY_CHOICES = [f.value for f in MeshFamily]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each command."""
     parser = argparse.ArgumentParser(
         prog="layerfem",
         description="Galerkin FEM on layer-adapted meshes for singularly "
@@ -38,7 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, many_meshes: bool) -> None:
+    def add_command(
+        name: str, summary: str, *, many_meshes: bool = False, c_eps: bool = False, k_help: str | None = None
+    ) -> argparse.ArgumentParser:
+        """Add a command; only commands given a ``k_help`` take --k and --problem."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--mesh-type",
             action="append" if many_meshes else "store",
@@ -47,32 +52,29 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--sigma", type=float, help="mesh grading exponent (default k+1)")
         p.add_argument("--c1", type=float, help="breakpoint constant (default 5(k+1)/4)")
-        p.add_argument("--c-eps", type=float, help="breakpoint constant of the 'original' family (default 1.0)")
+        if c_eps:
+            p.add_argument("--c-eps", type=float, default=MeshSpec.c_eps,
+                           help="breakpoint constant of the 'original' family (default %(default)s)")
         p.add_argument("--N", action="append", type=int, help="mesh intervals (repeatable)")
         p.add_argument("--epsilon", action="append", type=float, help="perturbation parameter (repeatable)")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--config", help="key=value config file; flags override it")
+        if k_help:
+            p.add_argument("--k", action="append", type=int, help=k_help)
+            p.add_argument("--problem", default=StudyConfig.problem,
+                           help="benchmark problem name (default %(default)s)")
+        return p
 
-    p_mesh = sub.add_parser("mesh", help="generate a mesh and emit it as CSV")
-    add_common(p_mesh, many_meshes=False)
-
-    p_solve = sub.add_parser("solve", help="solve one configuration and emit sampled values")
-    add_common(p_solve, many_meshes=False)
-    p_solve.add_argument("--k", action="append", type=int, help="polynomial degree")
-    p_solve.add_argument("--problem", help="benchmark problem name (default layer-test)")
-    p_solve.add_argument("--samples", type=int, help="sample points per element (default 8)")
-
-    p_study = sub.add_parser("study", help="run the convergence sweep")
-    add_common(p_study, many_meshes=True)
-    p_study.add_argument("--k", action="append", type=int, help="polynomial degree (repeatable)")
-    p_study.add_argument("--problem", help="benchmark problem name (default layer-test)")
-    p_study.add_argument("--format", choices=["csv", "table"], help="output format (default table)")
-
-    p_verify = sub.add_parser("verify", help="run mesh and interpolation checks")
-    add_common(p_verify, many_meshes=False)
-    p_verify.add_argument("--k", action="append", type=int, help="polynomial degree (repeatable)")
-    p_verify.add_argument("--problem", help="benchmark problem name (default layer-test)")
-    return parser
+    add_command("mesh", "generate a mesh and emit it as CSV", c_eps=True)
+    p_solve = add_command("solve", "solve one configuration and emit sampled values",
+                          c_eps=True, k_help="polynomial degree")
+    p_solve.add_argument("--samples", type=int, default=8, help="sample points per element (default %(default)s)")
+    p_study = add_command("study", "run the convergence sweep",
+                          many_meshes=True, k_help="polynomial degree (repeatable)")
+    p_study.add_argument("--format", choices=["csv", "table"], default="table",
+                         help="output format (default %(default)s)")
+    add_command("verify", "run mesh and interpolation checks", k_help="polynomial degree (repeatable)")
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -89,39 +91,26 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_LIST_KEYS = {"N": int, "epsilon": float, "k": int, "mesh-type": str}
-_SCALAR_KEYS = {
-    "sigma": float,
-    "c1": float,
-    "c-eps": float,
-    "samples": int,
-    "out": str,
-    "config": str,
-    "problem": str,
-    "format": str,
-}
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's lines are parsed as flags placed before argv's own.
 
-
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill argument slots that were not given on the command line, then defaults."""
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        for key, raw in file_values.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr) or key == "config":
-                raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, attr) is not None:
-                continue  # CLI flag wins
-            if key in _LIST_KEYS:
-                conv = _LIST_KEYS[key]
-                setattr(args, attr, [conv(tok) for tok in raw.split(",") if tok])
-            elif key in _SCALAR_KEYS:
-                setattr(args, attr, _SCALAR_KEYS[key](raw))
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    for attr, default in (("c_eps", 1.0), ("samples", 8), ("problem", "layer-test"), ("format", "table")):
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, default)
+    A scalar flag on the command line therefore wins over the file, and a
+    repeatable flag given on the command line replaces the file's list.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    tokens = []
+    for key, value in _load_config_file(args.config).items():
+        action = commands[args.command]._option_string_actions.get(f"--{key}")
+        if action is None or key == "config" or not hasattr(args, action.dest):
+            raise ValueError(f"unknown config key {key!r}")
+        if not isinstance(action, argparse._AppendAction):
+            tokens.append(f"--{key}={value}")
+        elif getattr(args, action.dest) is None:
+            tokens += [f"--{key}={item}" for item in value.split(",") if item]
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _single(values, name: str, default=None):
@@ -239,7 +228,6 @@ def _cmd_verify(args: argparse.Namespace) -> None:
                     sigma=sigma,
                     epsilon=eps,
                     c1=c1,
-                    c_eps=args.c_eps,
                 )
                 checks = check_step_sizes(generate(spec))
                 all_hold = all_hold and checks.all_bounds_hold
@@ -281,16 +269,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; map bad flags to 1.
         return 0 if exc.code in (0, None) else 1
-    try:
-        _apply_config_file(args)
-        _COMMANDS[args.command](args)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SingularMatrixError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -129,9 +129,6 @@ class PiecewisePolynomial:
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
 
-    def node_coordinates(self) -> np.ndarray:
-        return global_nodes(self.mesh, self.degree)
-
     def element_coefficients(self) -> np.ndarray:
         """Coefficients per element as an (N, k+1) array (shared nodes duplicated)."""
         k = self.degree
@@ -255,10 +252,6 @@ def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | N
     (f, theta_i).  Element integrals use ``quad_points`` Gauss-Legendre points
     (default k + 2, exact for polynomial data of degree <= k + 3).
     """
-    if degree < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {degree}")
-    if not np.all(np.diff(mesh.nodes) > 0.0):
-        raise ValueError("mesh nodes must be strictly increasing")
     k = degree
     q = k + 2 if quad_points is None else quad_points
     xi, w = gauss_legendre(q)

@@ -53,8 +53,6 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
     """Build the interpolant bundle for an exact solution with an S/E split."""
     if exact is None:
         raise ValueError("interpolant bundle needs an exact solution with an S/E split")
-    if mesh.N < 4 or mesh.N % 2 != 0:
-        raise ValueError(f"mesh must have an even number >= 4 of intervals, got {mesh.N}")
 
     u_i = lagrange_interp(exact.u, mesh, degree)
     s_i = lagrange_interp(exact.S, mesh, degree)

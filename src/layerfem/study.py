@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .femcore import galerkin_solve
-from .interpolants import build_bundle, lagrange_interp
+from .interpolants import build_bundle
 from .mesh import MeshFamily, MeshSpec, generate
 from .norms import error_norms
 from .problem import get_problem
@@ -301,7 +301,7 @@ def interpolation_study(
     k: int,
     n_values: tuple[int, ...],
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
-    problem: str = "layer-test",
+    problem: str = StudyConfig.problem,
     sigma: float | None = None,
     c1: float | None = None,
 ) -> list[InterpolationRow]:
@@ -321,10 +321,8 @@ def interpolation_study(
             spec = MeshSpec(
                 family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
             )
-            mesh = generate(spec)
-            interp = lagrange_interp(bvp.exact.u, mesh, k)
-            tri = error_norms(interp, bvp.exact.u, bvp.exact.u_prime, eps)
-            bundle = build_bundle(bvp.exact, mesh, k)
+            bundle = build_bundle(bvp.exact, generate(spec), k)
+            tri = error_norms(bundle.u_interp, bvp.exact.u, bvp.exact.u_prime, eps)
             corr = error_norms(bundle.correction, zero, zero, eps)
             u_inf = max(u_inf, tri.e_inf)
             u_l2 = max(u_l2, tri.e_l2)

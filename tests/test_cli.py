@@ -125,6 +125,31 @@ class TestStudyCommand:
         assert main(["study", "--format", "csv", *flags]) == 0
         assert seen == [expected]
 
+    def test_scalar_flag_overrides_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mesh-type=roos\nk=1\nN=8,16\nepsilon=1e-6\nformat=csv\n")
+        assert main(["study", "--config", str(cfg), "--format", "table"]) == 0
+        out = capsys.readouterr().out
+        assert "roos: e^N" in out
+        assert not out.startswith("family,")
+
+    @pytest.mark.parametrize(
+        "line,flag", [("format=xml", "argument --format"), ("k=two", "argument --k")]
+    )
+    def test_config_values_are_checked_like_flags(self, tmp_path, monkeypatch, capsys, line, flag):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(line + "\n")
+        seen = []
+        monkeypatch.setattr("layerfem.cli.run_study", seen.append)
+        assert main(["study", "--config", str(cfg)]) == 1
+        assert seen == []
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["study", "verify"])
+    def test_c_eps_is_rejected_where_it_is_not_honoured(self, command, capsys):
+        assert main([command, "--mesh-type", "original", "--k", "1", "--N", "16",
+                     "--epsilon", "1e-2", "--c-eps", "2"]) == 1
+
     def test_config_file_bad_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("meshtype=roos\n")
