@@ -12,6 +12,7 @@ tridiagonal elimination.  Global unknowns are node-ordered left to right.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -61,6 +62,20 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {degree}")
+
+
+def _shape_values(degree: int, t: np.ndarray) -> np.ndarray:
+    """The values table of :func:`shape_tables` at the float array t."""
+    nodes = np.linspace(0.0, 1.0, degree + 1)
+    values = np.ones((degree + 1,) + t.shape)
+    for j, m in itertools.permutations(range(degree + 1), 2):
+        values[j] *= (t - nodes[m]) / (nodes[j] - nodes[m])
+    return values
+
+
 def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
     """Values and first derivatives at reference coordinates t of the degree-k
     Lagrange shape functions on the k+1 equidistant nodes of [0, 1].
@@ -70,21 +85,17 @@ def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
     (t - t_m)/(t_j - t_m), and phi_j' the sum over m != j of the same
     product with factor m replaced by 1/(t_j - t_m).
     """
-    if degree < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {degree}")
+    _check_degree(degree)
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    values = _shape_values(degree, t)
     nodes = np.linspace(0.0, 1.0, degree + 1)
-    values = np.ones((degree + 1,) + t.shape)
     derivatives = np.zeros((degree + 1,) + t.shape)
-    for j, tj in enumerate(nodes):
-        others = [m for m in range(degree + 1) if m != j]
-        for m in others:
-            values[j] *= (t - nodes[m]) / (tj - nodes[m])
-            term = np.full(t.shape, 1.0 / (tj - nodes[m]))
-            for l in others:
-                if l != m:
-                    term *= (t - nodes[l]) / (tj - nodes[l])
-            derivatives[j] += term
+    for j, m in itertools.permutations(range(degree + 1), 2):
+        term = np.full(t.shape, 1.0 / (nodes[j] - nodes[m]))
+        for l in range(degree + 1):
+            if l not in (j, m):
+                term *= (t - nodes[l]) / (nodes[j] - nodes[l])
+        derivatives[j] += term
     return values, derivatives
 
 
@@ -121,6 +132,7 @@ class PiecewisePolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_degree(self.degree)
         coeff = np.asarray(self.coefficients, dtype=float)
         expected = self.degree * self.mesh.N + 1
         if coeff.shape != (expected,):
@@ -150,9 +162,10 @@ class PiecewisePolynomial:
             np.searchsorted(self.mesh.nodes, xf, side="right") - 1, 0, self.mesh.N - 1
         )
         h = self.mesh.steps[elems]
-        values, slopes = shape_tables(self.degree, (xf - self.mesh.nodes[elems]) / h)
+        t = (xf - self.mesh.nodes[elems]) / h
+        table = shape_tables(self.degree, t)[1] if derivative else _shape_values(self.degree, t)
         out = np.zeros_like(xf)
-        for a, row in enumerate(slopes if derivative else values):
+        for a, row in enumerate(table):
             out += self.coefficients[self.degree * elems + a] * row
         if derivative:
             out /= h
@@ -179,8 +192,7 @@ class ElementSystem:
 
     def __post_init__(self) -> None:
         k = self.degree
-        if k < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {k}")
+        _check_degree(k)
         matrices = np.array(self.matrices, dtype=float)
         loads = np.array(self.loads, dtype=float)
         n_elem = matrices.shape[0] if matrices.ndim == 3 else 0
@@ -253,6 +265,7 @@ def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | N
     (default k + 2, exact for polynomial data of degree <= k + 3).
     """
     k = degree
+    _check_degree(k)
     q = k + 2 if quad_points is None else quad_points
     xi, w = gauss_legendre(q)
     stiff, conv, mass, shp = _element_tables(k, q)

@@ -31,20 +31,16 @@ def lagrange_interp(fn: Callable, mesh: Mesh1D, degree: int) -> PiecewisePolynom
 
 @dataclass(frozen=True)
 class InterpolantBundle:
-    """Interpolants of u, S, E plus the layer-corrected pair, all on one mesh.
+    """The interpolant of u and its layer-corrected variant, on one mesh.
 
-    ``correction`` holds the layer values at the k correction nodes (the left
-    endpoint and interior nodes of element N/2 - 1) and zeros elsewhere;
-    ``corrected_layer_interp = layer_interp - correction`` and
-    ``corrected_interp = u_interp - correction`` coefficientwise, so the
-    corrected interpolant stays in the finite element space and matches the
-    plain interpolant away from the transition element.
+    ``correction`` holds the layer values E at the k correction nodes (the
+    left endpoint and interior nodes of element N/2 - 1) and zeros
+    elsewhere; ``corrected_interp = u_interp - correction`` coefficientwise,
+    so the corrected interpolant stays in the finite element space and
+    matches the plain interpolant away from the transition element.
     """
 
     u_interp: PiecewisePolynomial
-    smooth_interp: PiecewisePolynomial
-    layer_interp: PiecewisePolynomial
-    corrected_layer_interp: PiecewisePolynomial
     correction: PiecewisePolynomial
     corrected_interp: PiecewisePolynomial
 
@@ -55,23 +51,13 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
         raise ValueError("interpolant bundle needs an exact solution with an S/E split")
 
     u_i = lagrange_interp(exact.u, mesh, degree)
-    s_i = lagrange_interp(exact.S, mesh, degree)
-    e_i = lagrange_interp(exact.E, mesh, degree)
-
-    coords = global_nodes(mesh, degree)
-    corr = np.zeros_like(coords)
-    first = (mesh.N // 2 - 1) * degree
-    corr[first : first + degree] = np.asarray(
-        exact.E(coords[first : first + degree]), dtype=float
+    e = mesh.N // 2 - 1
+    corr = np.zeros_like(u_i.coefficients)
+    corr[e * degree : (e + 1) * degree] = exact.E(
+        mesh.nodes[e] + mesh.steps[e] * (np.arange(degree) / degree)
     )
-
     return InterpolantBundle(
         u_interp=u_i,
-        smooth_interp=s_i,
-        layer_interp=e_i,
-        corrected_layer_interp=PiecewisePolynomial(
-            mesh=mesh, degree=degree, coefficients=e_i.coefficients - corr
-        ),
         correction=PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=corr),
         corrected_interp=PiecewisePolynomial(
             mesh=mesh, degree=degree, coefficients=u_i.coefficients - corr

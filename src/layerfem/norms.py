@@ -7,7 +7,9 @@ by at most 1e-10 relative plus the round-off bounds of the two estimates.
 Errors near round-off are differences of much larger values, so 1e-10
 relative alone is out of reach there; with the round-off floor the cap is
 reached only where the integral still changes above noise.  The max norm is
-estimated by dense sampling of the values.
+the largest error among the values already computed: those at the quadrature
+points of every level and at the element nodes.  The energy norm of a
+piecewise polynomial itself is exact from the reference stiffness and mass.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, _frozen, gauss_legendre, shape_tables
+from .femcore import PiecewisePolynomial, _element_tables, _frozen, gauss_legendre
+from .femcore import global_nodes, shape_tables
 
-__all__ = ["ErrorTriple", "error_norms"]
+__all__ = ["ErrorTriple", "error_norms", "polynomial_energy_norm"]
 
 _REL_TOL = 1e-10
 _START_PANELS = 4
 _MAX_PANELS = 64
-_INF_SAMPLES = 50
 # Bound on the absolute error of a computed difference, per unit of the size
 # of the values it subtracts.
 _ROUNDOFF = 8.0 * np.finfo(float).eps
@@ -49,14 +51,6 @@ def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...
     pts = ((np.arange(panels, dtype=float)[:, None] + points[None, :]) / panels).ravel()
     wts = np.tile(weights / panels, panels)
     return _frozen(pts, wts, *shape_tables(degree, pts))
-
-
-@functools.lru_cache(maxsize=128)
-def _sample_table(degree: int) -> tuple[np.ndarray, ...]:
-    """Max-norm sample points (an even grid plus the element's own nodes) and
-    the shape function values there."""
-    pts = np.union1d(np.linspace(0.0, 1.0, _INF_SAMPLES), np.arange(degree + 1) / degree)
-    return _frozen(pts, shape_tables(degree, pts)[0])
 
 
 def _at(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -104,6 +98,9 @@ def error_norms(
     h, left = mesh.steps, mesh.nodes[:-1]
     coeff = fem.element_coefficients()
 
+    # Largest |exact - fem| at the global nodes and then at each level's points.
+    peaks = [np.max(np.abs(_at(exact_u, global_nodes(mesh, degree)) - fem.coefficients))]
+
     def level(elems, panels):
         # Integrals of the error squared and of its derivative squared on the
         # elements ``elems``, each with its round-off bound.
@@ -111,8 +108,10 @@ def error_norms(
         he = h[elems]
         x = left[elems, None] + he[:, None] * pts
         c, hc = coeff[elems], he[:, None]
+        diff, scale = _value_error(exact_u, x, c, shape)
+        peaks.append(np.max(np.abs(diff)))
         return (
-            *_integral(*_value_error(exact_u, x, c, shape), he, wts),
+            *_integral(diff, scale, he, wts),
             *_integral(*_slope_error(exact_du, x, c, slope, hc), he, wts),
         )
 
@@ -129,12 +128,27 @@ def error_norms(
         active = active[~settled]
         panels *= 2
 
-    pts, shape = _sample_table(degree)
-    diff = _at(exact_u, left[:, None] + h[:, None] * pts) - coeff @ shape
     # Fixed element order keeps the reductions deterministic.
     val2, der2 = float(np.sum(val2)), float(np.sum(der2))
     return ErrorTriple(
-        e_inf=float(np.max(np.abs(diff))),
+        e_inf=float(np.max(peaks)),
         e_l2=math.sqrt(val2),
         e_energy=math.sqrt(epsilon * der2 + val2),
     )
+
+
+def polynomial_energy_norm(fem: PiecewisePolynomial, epsilon: float) -> float:
+    """Energy norm of ``fem`` itself, exact up to round-off.
+
+    Sums eps*c^T K c/h + h*c^T M c over the elements with a nonzero
+    coefficient, with K and M the reference stiffness and mass; k + 1 Gauss
+    points integrate both exactly.
+    """
+    k = fem.degree
+    coeff = fem.element_coefficients()
+    elems = np.flatnonzero(np.any(coeff != 0.0, axis=1))
+    c, h = coeff[elems], fem.mesh.steps[elems]
+    stiff, _, mass, _ = _element_tables(k, k + 1)
+    pairs = (c[:, :, None] * c[:, None, :]).reshape(elems.size, (k + 1) ** 2)
+    energy = epsilon * (pairs @ stiff) / h + h * (pairs @ (gauss_legendre(k + 1)[1] @ mass))
+    return math.sqrt(float(np.sum(energy)))

@@ -12,6 +12,7 @@ numpy arrays and be pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,6 +96,7 @@ class TwoPointBVP:
         return beta, gamma
 
 
+@functools.lru_cache(maxsize=64)
 def layer_test_problem(epsilon: float) -> TwoPointBVP:
     """Manufactured benchmark problem with a boundary layer at x = 0.
 
@@ -110,6 +112,7 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
 
     and f = -eps*u'' - (3-x)*u' + u.  exp underflows to zero far from the
     layer, which only drops terms already below round-off of the smooth part.
+    The problem is immutable, so it is built once per epsilon and shared.
     """
     eps = float(epsilon)
 

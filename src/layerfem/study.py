@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .femcore import galerkin_solve
 from .interpolants import build_bundle
 from .mesh import MeshFamily, MeshSpec, generate
-from .norms import error_norms
+from .norms import error_norms, polynomial_energy_norm
 from .problem import get_problem
 
 __all__ = [
@@ -311,31 +309,16 @@ def interpolation_study(
     sigma and c1 default to :func:`defaults_for`.
     """
     sigma, c1 = defaults_for(k, sigma, c1)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
     rows = []
     for n_intervals in n_values:
-        u_inf = u_l2 = u_energy = corr_energy = 0.0
+        worst = [0.0] * 4
         for eps in epsilons:
             bvp = get_problem(problem, eps)
-            spec = MeshSpec(
-                family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
-            )
+            spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
             bundle = build_bundle(bvp.exact, generate(spec), k)
             tri = error_norms(bundle.u_interp, bvp.exact.u, bvp.exact.u_prime, eps)
-            corr = error_norms(bundle.correction, zero, zero, eps)
-            u_inf = max(u_inf, tri.e_inf)
-            u_l2 = max(u_l2, tri.e_l2)
-            u_energy = max(u_energy, tri.e_energy)
-            corr_energy = max(corr_energy, corr.e_energy)
-        rows.append(
-            InterpolationRow(
-                k=k,
-                N=n_intervals,
-                u_inf=u_inf,
-                u_l2=u_l2,
-                u_energy=u_energy,
-                correction_energy=corr_energy,
-            )
-        )
+            corr = polynomial_energy_norm(bundle.correction, eps)
+            worst = [max(w, v) for w, v in zip(worst, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
+        rows.append(InterpolationRow(k, n_intervals, *worst))
     return rows

@@ -202,6 +202,15 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(bvp, mesh, 0)
 
+    @pytest.mark.parametrize("degree", [-2, -5])
+    def test_negative_degree_error_names_the_degree(self, degree):
+        # Checked before the default rule size k + 2 is formed, so the
+        # message names the degree, not the number of quadrature points.
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        with pytest.raises(ValueError, match=f"polynomial degree must be >= 1, got {degree}"):
+            assemble(bvp, mesh, degree)
+
 
 def _reference_polynomials(k):
     nodes = np.linspace(0.0, 1.0, k + 1)
@@ -543,6 +552,11 @@ class TestPiecewisePolynomial:
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         with pytest.raises(ValueError):
             PiecewisePolynomial(mesh=mesh, degree=2, coefficients=np.zeros(5))
+
+    def test_rejects_degree_zero(self):
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        with pytest.raises(ValueError, match="polynomial degree must be >= 1"):
+            PiecewisePolynomial(mesh=mesh, degree=0, coefficients=np.zeros(1))
 
     def test_element_coefficients_shares_boundary_nodes(self):
         poly, _, coeff = self._example(k=2)

@@ -5,6 +5,7 @@ from layerfem import (
     ExactSolution,
     MeshFamily,
     MeshSpec,
+    PiecewisePolynomial,
     build_bundle,
     error_norms,
     fitted_rate,
@@ -96,14 +97,14 @@ class TestBundle:
             bundle.corrected_interp.coefficients,
             bundle.u_interp.coefficients - bundle.correction.coefficients,
         )
-        np.testing.assert_array_equal(
-            bundle.corrected_layer_interp.coefficients,
-            bundle.layer_interp.coefficients - bundle.correction.coefficients,
-        )
-        # Split form: corrected interpolant equals smooth interpolant plus
-        # corrected layer interpolant, up to the S+E round-off.
-        recombined = (
-            bundle.smooth_interp.coefficients + bundle.corrected_layer_interp.coefficients
+        # The correction is the layer interpolant E^I on its support.
+        layer = lagrange_interp(bvp.exact.E, mesh, k).coefficients
+        support = np.nonzero(bundle.correction.coefficients)[0]
+        np.testing.assert_array_equal(bundle.correction.coefficients[support], layer[support])
+        # Split form: corrected interpolant equals S^I plus the corrected
+        # layer interpolant E^I - correction, up to the S+E round-off.
+        recombined = lagrange_interp(bvp.exact.S, mesh, k).coefficients + (
+            layer - bundle.correction.coefficients
         )
         np.testing.assert_allclose(
             bundle.corrected_interp.coefficients, recombined, rtol=0.0, atol=1e-12
@@ -117,14 +118,15 @@ class TestBundle:
         bvp = layer_test_problem(eps)
         mesh = layer_mesh(N=16, sigma=k + 1.0, eps=eps)
         bundle = build_bundle(bvp.exact, mesh, k)
+        layer = lagrange_interp(bvp.exact.E, mesh, k)
+        corrected_layer = PiecewisePolynomial(
+            mesh=mesh, degree=k, coefficients=layer.coefficients - bundle.correction.coefficients
+        )
         m = mesh.N // 2
         local = np.linspace(0.0, 1.0, 50)
         for e in list(range(0, m - 2)) + list(range(m, mesh.N)):
             x = mesh.nodes[e] + mesh.steps[e] * local
-            np.testing.assert_array_equal(
-                bundle.corrected_layer_interp.evaluate(x),
-                bundle.layer_interp.evaluate(x),
-            )
+            np.testing.assert_array_equal(corrected_layer.evaluate(x), layer.evaluate(x))
 
     def test_corrected_interp_stays_in_fe_space(self):
         eps = 1e-7

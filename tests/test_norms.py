@@ -11,12 +11,14 @@ from layerfem import (
     MeshFamily,
     MeshSpec,
     PiecewisePolynomial,
+    build_bundle,
     defaults_for,
     error_norms,
     galerkin_solve,
     generate,
     lagrange_interp,
     layer_test_problem,
+    polynomial_energy_norm,
 )
 from layerfem.norms import _MAX_PANELS, _START_PANELS
 
@@ -128,6 +130,54 @@ class TestErrorNorms:
         fem = galerkin_solve(bvp, mesh, 1)
         tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
         assert tri.e_inf > 0.1 * tri.e_energy
+
+
+def graded_mesh(family, k, n, eps):
+    sigma, c1 = defaults_for(k)
+    return generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
+
+
+@pytest.mark.parametrize("family", ["roos", "kopteva"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_max_norm_close_to_dense_sampling(family, k):
+    # e_inf comes from the quadrature points and the element nodes only; a
+    # 401-point-per-element sample of the same error may exceed it by 0.5%.
+    local = np.linspace(0.0, 1.0, 401)
+    for n, eps in ((16, 1e-4), (16, 1e-8), (128, 1e-4), (128, 1e-8)):
+        bvp = layer_test_problem(eps)
+        mesh = graded_mesh(family, k, n, eps)
+        x = (mesh.nodes[:-1, None] + mesh.steps[:, None] * local).ravel()
+        for fem in (lagrange_interp(bvp.exact.u, mesh, k), galerkin_solve(bvp, mesh, k)):
+            dense = np.max(np.abs(bvp.exact.u(x) - fem.evaluate(x)))
+            e_inf = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps).e_inf
+            assert dense * (1.0 - 5e-3) <= e_inf <= dense * (1.0 + 5e-3)
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+class TestPolynomialEnergyNorm:
+    @pytest.mark.parametrize("family", ["roos", "kopteva"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-9])
+    def test_layer_correction_matches_adaptive_quadrature(self, family, k, n, eps):
+        bvp = layer_test_problem(eps)
+        correction = build_bundle(bvp.exact, graded_mesh(family, k, n, eps), k).correction
+        oracle = error_norms(correction, _zero, _zero, eps).e_energy
+        assert polynomial_energy_norm(correction, eps) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_element_matches_adaptive_quadrature(self, k):
+        fem = lagrange_interp(lambda x: np.sin(3.0 * x), graded_mesh("kopteva", k, 32, 1e-6), k)
+        oracle = error_norms(fem, _zero, _zero, 1e-6).e_energy
+        assert polynomial_energy_norm(fem, 1e-6) == pytest.approx(oracle, rel=1e-12)
+
+    def test_zero_function(self):
+        mesh = uniform_mesh(4)
+        zero = PiecewisePolynomial(mesh=mesh, degree=3, coefficients=np.zeros(13))
+        assert polynomial_energy_norm(zero, 0.1) == 0.0
 
 
 def counting(fn):

@@ -93,6 +93,14 @@ class TestLayerTestProblem:
         with pytest.raises(ValueError, match="unknown problem"):
             get_problem("no-such-problem", 1e-5)
 
+    def test_built_once_per_epsilon(self):
+        # Problems are immutable, so the factory caches them per epsilon.
+        assert layer_test_problem(1e-7) is layer_test_problem(1e-7)
+        assert get_problem("layer-test", 1e-7) is layer_test_problem(1e-7)
+        assert layer_test_problem(1e-7) is not layer_test_problem(1e-8)
+        with pytest.raises(ValueError, match="unknown problem"):
+            get_problem("no-such-problem", 1e-7)
+
 
 class TestBVPValidation:
     def test_rejects_small_convection(self):

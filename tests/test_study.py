@@ -13,6 +13,7 @@ from layerfem import (
     format_error,
     run_study,
 )
+from layerfem import study
 from layerfem.problem import _PROBLEMS
 from layerfem.study import defaults_for, interpolation_study
 
@@ -227,3 +228,15 @@ class TestInterpolationStudy:
         assert len(rows) == 2
         assert rows[0].u_energy > rows[1].u_energy > 0.0
         assert rows[0].correction_energy > rows[1].correction_energy > 0.0
+
+    def test_one_error_norms_call_per_point(self, monkeypatch):
+        # The correction's norm is closed-form; only u - u^I is integrated.
+        calls, original = [], study.error_norms
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].mesh.N)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(study, "error_norms", counted)
+        interpolation_study("kopteva", 2, (8, 16), epsilons=(1e-5, 1e-7, 1e-9))
+        assert sorted(calls) == [8] * 3 + [16] * 3
