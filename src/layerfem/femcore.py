@@ -76,6 +76,19 @@ def _shape_values(degree: int, t: np.ndarray) -> np.ndarray:
     return values
 
 
+def _shape_slopes(degree: int, t: np.ndarray) -> np.ndarray:
+    """The derivatives table of :func:`shape_tables` at the float array t."""
+    nodes = np.linspace(0.0, 1.0, degree + 1)
+    slopes = np.zeros((degree + 1,) + t.shape)
+    for j, m in itertools.permutations(range(degree + 1), 2):
+        term = np.full(t.shape, 1.0 / (nodes[j] - nodes[m]))
+        for l in range(degree + 1):
+            if l not in (j, m):
+                term *= (t - nodes[l]) / (nodes[j] - nodes[l])
+        slopes[j] += term
+    return slopes
+
+
 def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
     """Values and first derivatives at reference coordinates t of the degree-k
     Lagrange shape functions on the k+1 equidistant nodes of [0, 1].
@@ -87,16 +100,7 @@ def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_degree(degree)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    values = _shape_values(degree, t)
-    nodes = np.linspace(0.0, 1.0, degree + 1)
-    derivatives = np.zeros((degree + 1,) + t.shape)
-    for j, m in itertools.permutations(range(degree + 1), 2):
-        term = np.full(t.shape, 1.0 / (nodes[j] - nodes[m]))
-        for l in range(degree + 1):
-            if l not in (j, m):
-                term *= (t - nodes[l]) / (nodes[j] - nodes[l])
-        derivatives[j] += term
-    return values, derivatives
+    return _shape_values(degree, t), _shape_slopes(degree, t)
 
 
 @functools.lru_cache(maxsize=32)
@@ -163,7 +167,7 @@ class PiecewisePolynomial:
         )
         h = self.mesh.steps[elems]
         t = (xf - self.mesh.nodes[elems]) / h
-        table = shape_tables(self.degree, t)[1] if derivative else _shape_values(self.degree, t)
+        table = (_shape_slopes if derivative else _shape_values)(self.degree, t)
         out = np.zeros_like(xf)
         for a, row in enumerate(table):
             out += self.coefficients[self.degree * elems + a] * row

@@ -46,38 +46,40 @@ class ErrorTriple:
 @functools.lru_cache(maxsize=128)
 def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...]:
     """Points and weights of ``panels`` copies of the q-point Gauss rule stacked
-    on [0, 1], with the shape function values and derivatives there."""
+    on [0, 1], with the shape function values and derivatives there and their
+    absolute values."""
     points, weights = gauss_legendre(q)
     pts = ((np.arange(panels, dtype=float)[:, None] + points[None, :]) / panels).ravel()
     wts = np.tile(weights / panels, panels)
-    return _frozen(pts, wts, *shape_tables(degree, pts))
+    shape, slope = shape_tables(degree, pts)
+    return _frozen(pts, wts, shape, slope, np.abs(shape), np.abs(slope))
 
 
 def _at(fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x), float), x.shape)
 
 
-def _value_error(fn: Callable, x: np.ndarray, c: np.ndarray, shape: np.ndarray):
-    """fn - fem at the points x, and the size of the values subtracted."""
-    u = _at(fn, x)
-    return u - c @ shape, np.abs(u) + np.abs(c) @ np.abs(shape)
+def _error_integrals(u: np.ndarray, fem: np.ndarray, abs_fem: np.ndarray, w: np.ndarray, h):
+    """Element integrals of (u - fem)^2, their round-off bounds and max |u - fem|.
 
-
-def _slope_error(fn: Callable, x: np.ndarray, c: np.ndarray, slope: np.ndarray, h: np.ndarray):
-    """fn - fem' at the points x, and the size of the values subtracted."""
-    du = _at(fn, x)
-    return du - (c @ slope) / h, np.abs(du) + (np.abs(c) @ np.abs(slope)) / h
-
-
-def _integral(diff: np.ndarray, scale: np.ndarray, h: np.ndarray, w: np.ndarray):
-    """Element integrals of diff^2 and their round-off bounds.
-
-    A difference of values of size ``scale`` is off by at most
-    delta = _ROUNDOFF*scale, so its square is off by at most
-    2|diff|*delta + delta^2.
+    ``abs_fem`` is the sum of |c_a||phi_a| behind ``fem``, so |u| + abs_fem is
+    the size of the values subtracted.  A difference of values of that size is
+    off by at most delta = _ROUNDOFF*size, so its square is off by at most
+    2|diff|*delta + delta^2.  ``fem`` and ``abs_fem`` are overwritten; ``u``
+    is only read.
     """
-    delta = _ROUNDOFF * scale
-    return h * ((diff * diff) @ w), h * ((delta * (2.0 * np.abs(diff) + delta)) @ w)
+    diff = np.subtract(u, fem, out=fem)
+    scratch = np.abs(u)
+    delta = np.add(scratch, abs_fem, out=abs_fem)
+    delta *= _ROUNDOFF
+    np.abs(diff, out=scratch)
+    peak = np.max(scratch)
+    scratch *= 2.0
+    scratch += delta
+    scratch *= delta
+    noise = h * (scratch @ w)
+    diff *= diff
+    return h * (diff @ w), noise, peak
 
 
 def _settled(new, old, noise) -> np.ndarray:
@@ -92,11 +94,12 @@ def error_norms(
 ) -> ErrorTriple:
     """Norms of exact - fem over the fem's mesh.
 
-    ``exact_u`` and ``exact_du`` must accept numpy arrays.
+    ``exact_u`` and ``exact_du`` must accept numpy arrays; what they return is only read.
     """
     mesh, degree = fem.mesh, fem.degree
     h, left = mesh.steps, mesh.nodes[:-1]
     coeff = fem.element_coefficients()
+    abs_coeff = np.abs(coeff)
 
     # Largest |exact - fem| at the global nodes and then at each level's points.
     peaks = [np.max(np.abs(_at(exact_u, global_nodes(mesh, degree)) - fem.coefficients))]
@@ -104,16 +107,17 @@ def error_norms(
     def level(elems, panels):
         # Integrals of the error squared and of its derivative squared on the
         # elements ``elems``, each with its round-off bound.
-        pts, wts, shape, slope = _quadrature_table(degree, degree + 3, panels)
+        pts, wts, shape, slope, abs_shape, abs_slope = _quadrature_table(degree, degree + 3, panels)
         he = h[elems]
-        x = left[elems, None] + he[:, None] * pts
-        c, hc = coeff[elems], he[:, None]
-        diff, scale = _value_error(exact_u, x, c, shape)
-        peaks.append(np.max(np.abs(diff)))
-        return (
-            *_integral(diff, scale, he, wts),
-            *_integral(*_slope_error(exact_du, x, c, slope, hc), he, wts),
-        )
+        x = np.multiply.outer(he, pts)
+        x += left[elems, None]
+        c, abs_c, hc = coeff[elems], abs_coeff[elems], he[:, None]
+        value = _error_integrals(_at(exact_u, x), c @ shape, abs_c @ abs_shape, wts, he)
+        peaks.append(value[2])
+        fem_du, abs_du = c @ slope, abs_c @ abs_slope
+        fem_du /= hc
+        abs_du /= hc
+        return *value[:2], *_error_integrals(_at(exact_du, x), fem_du, abs_du, wts, he)[:2]
 
     active = np.arange(mesh.N)
     val2, val_noise, der2, der_noise = level(active, _START_PANELS)

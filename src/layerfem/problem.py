@@ -55,18 +55,15 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class TwoPointBVP:
-    """Problem data: coefficients b, c, forcing f and the parameter epsilon.
-
-    ``b_prime`` may be supplied analytically; otherwise the sampled
-    coefficient checks fall back to central differences.  ``exact`` is
-    optional and carries the manufactured solution when one is known.
+    """Problem data: coefficients b, c and b', forcing f and the parameter
+    epsilon.  ``exact`` optionally carries the manufactured solution.
     """
 
     epsilon: float
     b: ScalarFn
     c: ScalarFn
     f: ScalarFn
-    b_prime: ScalarFn | None = None
+    b_prime: ScalarFn
     exact: ExactSolution | None = None
 
     def __post_init__(self) -> None:
@@ -85,14 +82,8 @@ class TwoPointBVP:
     def sampled_bounds(self, n_samples: int = 1000) -> tuple[float, float]:
         """Sampled minima (beta, gamma) of b and c + b'/2 on a uniform grid."""
         x = np.linspace(0.0, 1.0, n_samples)
-        if self.b_prime is not None:
-            db = self.b_prime(x)
-        else:
-            step = 1e-6
-            xc = np.clip(x, step, 1.0 - step)
-            db = (self.b(xc + step) - self.b(xc - step)) / (2.0 * step)
         beta = float(np.min(np.broadcast_to(self.b(x), x.shape)))
-        gamma = float(np.min(np.broadcast_to(self.c(x) + 0.5 * db, x.shape)))
+        gamma = float(np.min(np.broadcast_to(self.c(x) + 0.5 * self.b_prime(x), x.shape)))
         return beta, gamma
 
 

@@ -548,6 +548,20 @@ class TestPiecewisePolynomial:
         fd = (poly.evaluate(x + step) - poly.evaluate(x - step)) / (2 * step)
         np.testing.assert_allclose(poly.derivative(x), fd, rtol=1e-5)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_derivative_is_the_slope_table_bit_for_bit(self, k):
+        # Each element's coefficients times the slope table of shape_tables,
+        # over h.  The sum runs term by term in node order, as the evaluator
+        # adds: a BLAS product c @ table may add in another order.
+        poly, _, _ = self._example(k)
+        left, h = poly.mesh.nodes[:-1, None], poly.mesh.steps[:, None]
+        x = left + h * np.random.default_rng(k).uniform(0.01, 0.99, (poly.mesh.N, 7))
+        t = (x - left) / h
+        slopes = shape_tables(k, t.ravel())[1].reshape(k + 1, *t.shape)
+        c = poly.element_coefficients()
+        expected = sum(c[:, a, None] * slopes[a] for a in range(k + 1)) / h
+        np.testing.assert_array_equal(poly.derivative(x), expected)
+
     def test_rejects_wrong_coefficient_count(self):
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -135,6 +136,76 @@ class TestErrorNorms:
 def graded_mesh(family, k, n, eps):
     sigma, c1 = defaults_for(k)
     return generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
+
+
+def _galerkin_case(k=2, n=32, eps=1e-6):
+    bvp = layer_test_problem(eps)
+    return galerkin_solve(bvp, graded_mesh("roos", k, n, eps), k), bvp.exact, eps
+
+
+class TestExactValuesAreOnlyRead:
+    # error_norms works in place on its own arrays; what the exact callables
+    # return may be a read-only view or an array the caller keeps.
+    def test_read_only_arrays(self):
+        fem, exact, eps = _galerkin_case()
+
+        def read_only(fn):
+            def wrapped(x):
+                out = fn(x)
+                out.setflags(write=False)
+                return out
+
+            return wrapped
+
+        fresh = error_norms(fem, exact.u, exact.u_prime, eps)
+        assert error_norms(fem, read_only(exact.u), read_only(exact.u_prime), eps) == fresh
+
+    def test_cached_arrays_are_left_unchanged(self):
+        # Each callable hands back the same array for the same points, so a
+        # write into it would show in the second call and in the cache.
+        fem, exact, eps = _galerkin_case()
+        cache = {}
+
+        def cached(fn):
+            def wrapped(x):
+                key = (fn, x.shape, x.tobytes())
+                if key not in cache:
+                    cache[key] = (x.copy(), fn(x))
+                return cache[key][1]
+
+            return wrapped
+
+        fresh = error_norms(fem, exact.u, exact.u_prime, eps)
+        u, du = cached(exact.u), cached(exact.u_prime)
+        assert error_norms(fem, u, du, eps) == fresh
+        assert error_norms(fem, u, du, eps) == fresh
+        assert len(cache) > 2
+        for (fn, _, _), (x, values) in cache.items():
+            np.testing.assert_array_equal(values, fn(x))
+
+    def test_python_float_constants(self):
+        fem, _, eps = _galerkin_case()
+        fresh = error_norms(fem, lambda x: np.full_like(x, 0.25), np.zeros_like, eps)
+        assert error_norms(fem, lambda x: 0.25, lambda x: 0.0, eps) == fresh
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
+def test_transient_memory_is_a_few_level_arrays(kind):
+    # One array of the 8-panel level holds N*8(k+3) doubles; every element
+    # takes part in that level.  The norms must not keep many such arrays
+    # alive at once.
+    fem, exact, eps = _galerkin_case(k=2, n=2048, eps=1e-8)
+    if kind == "interpolant":
+        fem = lagrange_interp(exact.u, fem.mesh, 2)
+    error_norms(fem, exact.u, exact.u_prime, eps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        error_norms(fem, exact.u, exact.u_prime, eps)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * fem.mesh.N * 8 * (2 + 3) * 8
 
 
 @pytest.mark.parametrize("family", ["roos", "kopteva"])

@@ -110,6 +110,7 @@ class TestBVPValidation:
                 b=lambda x: np.ones_like(x),
                 c=lambda x: np.ones_like(x),
                 f=lambda x: np.zeros_like(x),
+                b_prime=lambda x: np.zeros_like(x),
             )
 
     def test_rejects_bad_reaction(self):
@@ -119,21 +120,12 @@ class TestBVPValidation:
                 b=lambda x: 3.0 - x,
                 c=lambda x: -2.0 * np.ones_like(x),
                 f=lambda x: np.zeros_like(x),
+                b_prime=lambda x: -np.ones_like(x),
             )
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             layer_test_problem(1.5)
-
-    def test_finite_difference_fallback_for_b_prime(self):
-        bvp = TwoPointBVP(
-            epsilon=0.1,
-            b=lambda x: 3.0 - x,
-            c=lambda x: np.ones_like(x),
-            f=lambda x: np.zeros_like(x),
-        )
-        _, gamma = bvp.sampled_bounds()
-        assert gamma == pytest.approx(0.5, abs=1e-4)
 
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
@@ -182,6 +174,7 @@ class TestLayerBounds:
             b=lambda x: 3.0 - x,
             c=lambda x: np.ones_like(x),
             f=lambda x: np.zeros_like(x),
+            b_prime=lambda x: -np.ones_like(x),
         )
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         with pytest.raises(ValueError, match="exact"):
