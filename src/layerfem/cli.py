@@ -173,7 +173,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         u_ref = np.asarray(bvp.exact.u(x), dtype=float)
         for xv, un, ue in zip(x, u_num, u_ref):
             lines.append(f"{float(xv)!r},{float(un)!r},{float(ue)!r},{float(un - ue)!r}")
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
         print(
             f"e_inf={tri.e_inf:.6e} e_l2={tri.e_l2:.6e} e_energy={tri.e_energy:.6e}",
             file=sys.stderr,

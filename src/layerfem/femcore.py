@@ -337,18 +337,22 @@ class TridiagonalLU:
         """Solve A x = b with the stored factors."""
         dl, d, du, du2, swap = self._factors
         n = len(d)
-        x = np.asarray(b, dtype=float).tolist() + [0.0]
-        if len(x) != n + 1:
+        x = np.asarray(b, dtype=float).tolist()
+        if len(x) != n:
             raise ValueError(f"right-hand side must have {n} entries")
+        cur = x[0]  # x[i] during the forward sweep; x1, x2 hold x[i + 1], x[i + 2] after it
         for i in range(n - 1):
+            nxt = x[i + 1]
             if swap[i]:
-                x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
+                x[i], cur = nxt, cur - dl[i] * nxt
             else:
-                x[i + 1] -= dl[i] * x[i]
-        x[n - 1] /= d[n - 1]
+                x[i], cur = cur, nxt - dl[i] * cur
+        x1 = x[n - 1] = cur / d[n - 1]
+        x2 = 0.0
         for i in range(n - 2, -1, -1):
-            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-        return np.array(x[:n])
+            x1, x2 = (x[i] - du[i] * x1 - du2[i] * x2) / d[i], x1
+            x[i] = x1
+        return np.array(x)
 
 
 class _Condensation:

@@ -7,7 +7,7 @@ The problem class is
 with b >= beta > 1 and c + b'/2 >= gamma > 0, so the solution develops a
 boundary layer of width O(epsilon*log(1/epsilon)) at x = 0 and splits into a
 smooth part plus a layer part, u = S + E.  Coefficient callables must accept
-numpy arrays and be pure.
+numpy arrays and be pure.  An exact solution also gives (u, u') from one call.
 """
 
 from __future__ import annotations
@@ -34,23 +34,25 @@ ScalarFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact solution with its smooth/layer split u = S + E and derivatives."""
+    """Exact solution u, (u, u') from one call, and the split u = S + E with derivatives."""
 
     u: ScalarFn
-    u_prime: ScalarFn
+    u_and_prime: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     S: ScalarFn
     S_prime: ScalarFn
     E: ScalarFn
     E_prime: ScalarFn
 
     def validate(self, n_samples: int = 1000, tol: float = 1e-12) -> None:
-        """Check u(0) = u(1) = 0 and u = S + E on a uniform sample grid."""
+        """Check u(0) = u(1) = 0, u = S + E and u = u_and_prime(x)[0] on a uniform grid."""
         if abs(float(self.u(np.array(0.0)))) > tol or abs(float(self.u(np.array(1.0)))) > tol:
             raise ValueError("exact solution must vanish at both endpoints")
         x = np.linspace(0.0, 1.0, n_samples)
-        gap = np.max(np.abs(self.u(x) - (self.S(x) + self.E(x))))
-        if gap > tol:
-            raise ValueError(f"u and S + E disagree by {gap:.3e} (> {tol:.0e})")
+        others = {"S + E": self.S(x) + self.E(x), "u_and_prime": self.u_and_prime(x)[0]}
+        for name, other in others.items():
+            gap = np.max(np.abs(self.u(x) - other))
+            if gap > tol:
+                raise ValueError(f"u and {name} disagree by {gap:.3e} (> {tol:.0e})")
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,20 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         u'  = -1 + E0*(1 + 2(1-x)/eps)
         u'' = -(2/eps)*E0*(2 + 2(1-x)/eps)
 
-    and f = -eps*u'' - (3-x)*u' + u.  exp underflows to zero far from the
-    layer, which only drops terms already below round-off of the smooth part.
-    The problem is immutable, so it is built once per epsilon and shared.
+    and f = -eps*u'' - (3-x)*u' + u; u_and_prime evaluates E0 once for both.
+    exp underflows to zero far from the layer, which only drops terms already
+    below round-off of the smooth part.  The problem is immutable, so it is
+    built once per epsilon and shared.
     """
     eps = float(epsilon)
 
     def u(x):
         return (1.0 - x) * (1.0 - np.exp(-2.0 * x / eps))
 
-    def u_prime(x):
+    def u_and_prime(x):
         e0 = np.exp(-2.0 * x / eps)
-        return -1.0 + e0 * (1.0 + 2.0 * (1.0 - x) / eps)
+        s = 1.0 - x
+        return s * (1.0 - e0), -1.0 + e0 * (1.0 + 2.0 * s / eps)
 
     def u_double_prime(x):
         e0 = np.exp(-2.0 * x / eps)
@@ -140,10 +144,11 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         return np.ones_like(np.asarray(x, dtype=float))
 
     def f(x):
-        return -eps * u_double_prime(x) - b(x) * u_prime(x) + u(x)
+        u_x, du_x = u_and_prime(x)
+        return -eps * u_double_prime(x) - b(x) * du_x + u_x
 
     exact = ExactSolution(
-        u=u, u_prime=u_prime,
+        u=u, u_and_prime=u_and_prime,
         S=smooth, S_prime=smooth_prime,
         E=layer, E_prime=layer_prime,
     )

@@ -159,7 +159,7 @@ def _single_run(
         )
         mesh = generate(spec)
         fem = galerkin_solve(bvp, mesh, k)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         nan = float("nan")
         return ConvergenceRecord(family, k, sigma, n_intervals, eps, nan, nan, nan, str(exc))
@@ -317,7 +317,7 @@ def interpolation_study(
             bvp = get_problem(problem, eps)
             spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
             bundle = build_bundle(bvp.exact, generate(spec), k)
-            tri = error_norms(bundle.u_interp, bvp.exact.u, bvp.exact.u_prime, eps)
+            tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, eps)
             corr = polynomial_energy_norm(bundle.correction, eps)
             worst = [max(w, v) for w, v in zip(worst, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
         rows.append(InterpolationRow(k, n_intervals, *worst))

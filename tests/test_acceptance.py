@@ -244,9 +244,7 @@ def test_criterion_7_oracle_suites():
             )
             grid = generate(MeshSpec(family=family, N=16, sigma=2.0, epsilon=eps, c1=2.5))
             fem = galerkin_solve(poly_bvp, grid, k_poly)
-            energy = error_norms(
-                fem, lambda x, pp=p: pp(x), lambda x, dd=dp: dd(x), eps
-            ).e_energy
+            energy = error_norms(fem, lambda x, pp=p, dd=dp: (pp(x), dd(x)), eps).e_energy
             if energy > 1e-10:
                 failures.append(f"exactness {family.value} k={k_poly}: {energy:.2e}")
 
@@ -255,7 +253,7 @@ def test_criterion_7_oracle_suites():
     dv = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
     grid = generate(MeshSpec(family=MeshFamily.UNIFORM, N=4, sigma=1.0, epsilon=0.5))
     zero = PiecewisePolynomial(mesh=grid, degree=2, coefficients=np.zeros(2 * grid.N + 1))
-    energy = error_norms(zero, v, dv, 1.0).e_energy
+    energy = error_norms(zero, lambda x: (v(x), dv(x)), 1.0).e_energy
     target = math.sqrt(1.0 / 30.0 + 1.0 / 3.0)
     if abs(energy - target) / target > 1e-12:
         failures.append(f"quadrature closed form: {energy!r} vs {target!r}")

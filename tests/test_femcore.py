@@ -343,6 +343,33 @@ class TestBandedSolve:
         bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
         assert np.max(np.abs(dense @ x - b)) <= bound
 
+    def test_solve_matches_indexed_sweeps_bit_for_bit(self):
+        # The sweeps of LAPACK's dgttrs over the stored factors, indexing x
+        # directly; random systems with small diagonals pivot often.
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 17, 400):
+            dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+            d, b = rng.normal(size=n) * 0.05, rng.normal(size=n)
+            lu = TridiagonalLU(dl, d, du)
+            fl, fd, fu, fu2, swap = lu._factors
+            x = b.tolist() + [0.0]
+            for i in range(n - 1):
+                if swap[i]:
+                    x[i], x[i + 1] = x[i + 1], x[i] - fl[i] * x[i + 1]
+                else:
+                    x[i + 1] -= fl[i] * x[i]
+            x[n - 1] /= fd[n - 1]
+            for i in range(n - 2, -1, -1):
+                x[i] = (x[i] - fu[i] * x[i + 1] - fu2[i] * x[i + 2]) / fd[i]
+            assert n < 17 or any(swap)
+            np.testing.assert_array_equal(lu.solve(b), x[:n])
+
+    def test_rejects_right_hand_side_of_wrong_length(self):
+        lu = TridiagonalLU(*_tridiagonal(np.eye(3)))
+        for b in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValueError, match="3 entries"):
+                lu.solve(b)
+
     def test_solve_does_not_mutate_input(self):
         rng = np.random.default_rng(3)
         dl, du = rng.uniform(size=5), rng.uniform(size=5)
@@ -445,7 +472,7 @@ class TestGalerkinSolve:
             MeshSpec(family=family, N=16, sigma=2.0, epsilon=eps, c1=0.5, c_eps=0.5)
         )
         fem = galerkin_solve(bvp, mesh, k)
-        tri = error_norms(fem, lambda x: p(x), lambda x: dp(x), eps)
+        tri = error_norms(fem, lambda x: (p(x), dp(x)), eps)
         assert tri.e_energy < 1e-10
 
     def test_energy_error_matches_published_value(self):
@@ -454,7 +481,7 @@ class TestGalerkinSolve:
         bvp = layer_test_problem(1e-8)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=16, sigma=2.0, epsilon=1e-8))
         fem = galerkin_solve(bvp, mesh, 1)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, 1e-8)
+        tri = error_norms(fem, bvp.exact.u_and_prime, 1e-8)
         assert tri.e_energy == pytest.approx(0.167, rel=0.02)
 
     @pytest.mark.parametrize("k, n_elem", [(4, 1024), (2, 2048)])
@@ -469,7 +496,7 @@ class TestGalerkinSolve:
             MeshSpec(family=MeshFamily.KOPTEVA, N=n_elem, sigma=sigma, epsilon=eps, c1=c1)
         )
         fem = galerkin_solve(bvp, mesh, k)
-        assert error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps).e_l2 <= 1e-13
+        assert error_norms(fem, bvp.exact.u_and_prime, eps).e_l2 <= 1e-13
 
     def test_solver_does_not_import_scipy(self):
         # Importing scipy.linalg costs more start-up time and memory than the
@@ -509,13 +536,13 @@ class TestGalerkinSolve:
         _, gamma = bvp.sampled_bounds()
         alpha = min(1.0, gamma)
         rng = np.random.default_rng(7)
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        zero = lambda x: (np.zeros_like(x), np.zeros_like(x))
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, dense.shape[0])
             coeff = np.zeros(k * mesh.N + 1)
             coeff[1:-1] = v
             poly = PiecewisePolynomial(mesh=mesh, degree=k, coefficients=coeff)
-            energy = error_norms(poly, zero, zero, eps).e_energy
+            energy = error_norms(poly, zero, eps).e_energy
             assert v @ dense @ v >= 0.5 * alpha * energy**2
 
 

@@ -24,6 +24,11 @@ from layerfem import (
 from layerfem.norms import _MAX_PANELS, _START_PANELS
 
 
+def pair(f, df):
+    """The joint (u, u') callable that error_norms takes, from two callables."""
+    return lambda x: (f(x), df(x))
+
+
 def uniform_mesh(N=4):
     return generate(MeshSpec(family=MeshFamily.UNIFORM, N=N, sigma=1.0, epsilon=0.5))
 
@@ -36,7 +41,7 @@ class TestErrorNorms:
         p = lambda x: np.asarray(x, dtype=float) ** 2 - np.asarray(x, dtype=float)
         dp = lambda x: 2.0 * np.asarray(x, dtype=float) - 1.0
         interp = lagrange_interp(p, mesh, 2)
-        tri = error_norms(interp, p, dp, epsilon=0.3)
+        tri = error_norms(interp, pair(p, dp), epsilon=0.3)
         assert tri.e_inf < 1e-11
         assert tri.e_l2 < 1e-11
         assert tri.e_energy < 1e-11
@@ -48,7 +53,7 @@ class TestErrorNorms:
         dv = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
         mesh = uniform_mesh(4)
         zero = PiecewisePolynomial(mesh=mesh, degree=2, coefficients=np.zeros(2 * mesh.N + 1))
-        tri = error_norms(zero, v, dv, epsilon=1.0)
+        tri = error_norms(zero, pair(v, dv), epsilon=1.0)
         assert tri.e_energy == pytest.approx(math.sqrt(1.0 / 30.0 + 1.0 / 3.0), rel=1e-12)
         assert tri.e_l2 == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-12)
 
@@ -59,11 +64,11 @@ class TestErrorNorms:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=32, sigma=2.0, epsilon=eps))
         fem = galerkin_solve(bvp, mesh, 1)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
         assert tri.e_energy == pytest.approx(0.0834, rel=0.02)
 
     def test_distance_between_two_piecewise_polynomials(self):
-        # The second argument pair can be another discrete function's
+        # The exact pair can be another discrete function's
         # evaluators; distance to itself is zero and to a finer interpolant
         # is the interpolation gap.
         mesh = uniform_mesh(8)
@@ -71,10 +76,10 @@ class TestErrorNorms:
         df = lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float))
         coarse = lagrange_interp(f, mesh, 1)
         fine = lagrange_interp(f, mesh, 3)
-        self_tri = error_norms(coarse, coarse.evaluate, coarse.derivative, 0.1)
+        self_tri = error_norms(coarse, pair(coarse.evaluate, coarse.derivative), 0.1)
         assert self_tri.e_energy < 1e-14
-        gap = error_norms(coarse, fine.evaluate, fine.derivative, 0.1)
-        direct = error_norms(coarse, f, df, 0.1)
+        gap = error_norms(coarse, pair(fine.evaluate, fine.derivative), 0.1)
+        direct = error_norms(coarse, pair(f, df), 0.1)
         assert gap.e_energy == pytest.approx(direct.e_energy, rel=1e-3)
 
     def test_triple_orderings(self):
@@ -82,7 +87,7 @@ class TestErrorNorms:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=16, sigma=3.0, epsilon=eps))
         fem = galerkin_solve(bvp, mesh, 2)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
         assert 0.0 <= tri.e_l2 <= tri.e_inf
         assert tri.e_energy >= tri.e_l2
 
@@ -91,7 +96,7 @@ class TestErrorNorms:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.KOPTEVA, N=16, sigma=2.0, epsilon=eps, c1=2.5))
         fem = galerkin_solve(bvp, mesh, 1)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
         seminorm_sq = tri.e_energy**2 - tri.e_l2**2
         assert seminorm_sq >= -1e-15
         assert tri.e_energy >= math.sqrt(max(seminorm_sq, 0.0)) - 1e-15
@@ -104,7 +109,7 @@ class TestErrorNorms:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=32, sigma=2.0, epsilon=eps))
         fem = galerkin_solve(bvp, mesh, k)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
 
         pts, wts = np.polynomial.legendre.leggauss(k + 3)
         pts, wts = 0.5 * (pts + 1.0), 0.5 * wts
@@ -116,7 +121,7 @@ class TestErrorNorms:
         for e in range(mesh.N):
             x = mesh.nodes[e] + mesh.steps[e] * xi
             dv = bvp.exact.u(x) - fem.evaluate(x)
-            dd = bvp.exact.u_prime(x) - fem.derivative(x)
+            dd = bvp.exact.u_and_prime(x)[1] - fem.derivative(x)
             val2 += mesh.steps[e] * float(np.sum(w * dv * dv))
             der2 += mesh.steps[e] * float(np.sum(w * dd * dd))
         oracle = math.sqrt(eps * der2 + val2)
@@ -129,7 +134,7 @@ class TestErrorNorms:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=eps))
         fem = galerkin_solve(bvp, mesh, 1)
-        tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
         assert tri.e_inf > 0.1 * tri.e_energy
 
 
@@ -144,49 +149,63 @@ def _galerkin_case(k=2, n=32, eps=1e-6):
 
 
 class TestExactValuesAreOnlyRead:
-    # error_norms works in place on its own arrays; what the exact callables
-    # return may be a read-only view or an array the caller keeps.
+    # error_norms works in place on its own arrays; what the exact callable
+    # returns may be read-only arrays or arrays the caller keeps.
     def test_read_only_arrays(self):
         fem, exact, eps = _galerkin_case()
 
-        def read_only(fn):
-            def wrapped(x):
-                out = fn(x)
+        def read_only(x):
+            values = exact.u_and_prime(x)
+            for out in values:
                 out.setflags(write=False)
-                return out
+            return values
 
-            return wrapped
-
-        fresh = error_norms(fem, exact.u, exact.u_prime, eps)
-        assert error_norms(fem, read_only(exact.u), read_only(exact.u_prime), eps) == fresh
+        fresh = error_norms(fem, exact.u_and_prime, eps)
+        assert error_norms(fem, read_only, eps) == fresh
 
     def test_cached_arrays_are_left_unchanged(self):
-        # Each callable hands back the same array for the same points, so a
-        # write into it would show in the second call and in the cache.
+        # The callable hands back the same arrays for the same points, so a
+        # write into them would show in the second call and in the cache.
         fem, exact, eps = _galerkin_case()
         cache = {}
 
-        def cached(fn):
-            def wrapped(x):
-                key = (fn, x.shape, x.tobytes())
-                if key not in cache:
-                    cache[key] = (x.copy(), fn(x))
-                return cache[key][1]
+        def cached(x):
+            key = (x.shape, x.tobytes())
+            if key not in cache:
+                cache[key] = (x.copy(), exact.u_and_prime(x))
+            return cache[key][1]
 
-            return wrapped
-
-        fresh = error_norms(fem, exact.u, exact.u_prime, eps)
-        u, du = cached(exact.u), cached(exact.u_prime)
-        assert error_norms(fem, u, du, eps) == fresh
-        assert error_norms(fem, u, du, eps) == fresh
+        fresh = error_norms(fem, exact.u_and_prime, eps)
+        assert error_norms(fem, cached, eps) == fresh
+        assert error_norms(fem, cached, eps) == fresh
         assert len(cache) > 2
-        for (fn, _, _), (x, values) in cache.items():
-            np.testing.assert_array_equal(values, fn(x))
+        for x, values in cache.values():
+            for kept, recomputed in zip(values, exact.u_and_prime(x)):
+                np.testing.assert_array_equal(kept, recomputed)
 
     def test_python_float_constants(self):
         fem, _, eps = _galerkin_case()
-        fresh = error_norms(fem, lambda x: np.full_like(x, 0.25), np.zeros_like, eps)
-        assert error_norms(fem, lambda x: 0.25, lambda x: 0.0, eps) == fresh
+        fresh = error_norms(fem, lambda x: (np.full_like(x, 0.25), np.zeros_like(x)), eps)
+        assert error_norms(fem, lambda x: (0.25, 0.0), eps) == fresh
+
+
+def test_one_exact_call_per_level():
+    # At roos, k = 2, N = 64, eps = 1e-6 some elements refine to the 64-panel
+    # cap, so all five levels run.  Each level evaluates u and u' in one call
+    # on its points, and one more call covers the global nodes.  The summed
+    # point count is the norms.evals count of perfbench's trace, 4529 for
+    # this case since the count was introduced.
+    fem, exact, eps = _galerkin_case(k=2, n=64, eps=1e-6)
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return exact.u_and_prime(x)
+
+    error_norms(fem, counted, eps)
+    assert shapes[0] == (2 * 64 + 1,)
+    assert [shape[1] for shape in shapes[1:]] == [(2 + 3) * p for p in (4, 8, 16, 32, 64)]
+    assert sum(math.prod(shape) for shape in shapes) == 4529
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
@@ -197,11 +216,11 @@ def test_transient_memory_is_a_few_level_arrays(kind):
     fem, exact, eps = _galerkin_case(k=2, n=2048, eps=1e-8)
     if kind == "interpolant":
         fem = lagrange_interp(exact.u, fem.mesh, 2)
-    error_norms(fem, exact.u, exact.u_prime, eps)
+    error_norms(fem, exact.u_and_prime, eps)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        error_norms(fem, exact.u, exact.u_prime, eps)
+        error_norms(fem, exact.u_and_prime, eps)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -220,7 +239,7 @@ def test_max_norm_close_to_dense_sampling(family, k):
         x = (mesh.nodes[:-1, None] + mesh.steps[:, None] * local).ravel()
         for fem in (lagrange_interp(bvp.exact.u, mesh, k), galerkin_solve(bvp, mesh, k)):
             dense = np.max(np.abs(bvp.exact.u(x) - fem.evaluate(x)))
-            e_inf = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps).e_inf
+            e_inf = error_norms(fem, bvp.exact.u_and_prime, eps).e_inf
             assert dense * (1.0 - 5e-3) <= e_inf <= dense * (1.0 + 5e-3)
 
 
@@ -236,13 +255,13 @@ class TestPolynomialEnergyNorm:
     def test_layer_correction_matches_adaptive_quadrature(self, family, k, n, eps):
         bvp = layer_test_problem(eps)
         correction = build_bundle(bvp.exact, graded_mesh(family, k, n, eps), k).correction
-        oracle = error_norms(correction, _zero, _zero, eps).e_energy
+        oracle = error_norms(correction, pair(_zero, _zero), eps).e_energy
         assert polynomial_energy_norm(correction, eps) == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_element_matches_adaptive_quadrature(self, k):
         fem = lagrange_interp(lambda x: np.sin(3.0 * x), graded_mesh("kopteva", k, 32, 1e-6), k)
-        oracle = error_norms(fem, _zero, _zero, 1e-6).e_energy
+        oracle = error_norms(fem, pair(_zero, _zero), 1e-6).e_energy
         assert polynomial_energy_norm(fem, 1e-6) == pytest.approx(oracle, rel=1e-12)
 
     def test_zero_function(self):
@@ -272,8 +291,8 @@ class TestQuadratureTermination:
         bvp = layer_test_problem(eps)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=n, sigma=k + 1.0, epsilon=eps))
         fem = galerkin_solve(bvp, mesh, k)
-        exact_u, rows = counting(bvp.exact.u)
-        error_norms(fem, exact_u, bvp.exact.u_prime, eps)
+        exact, rows = counting(bvp.exact.u_and_prime)
+        error_norms(fem, exact, eps)
         capped = rows[(k + 3) * _MAX_PANELS]
         assert capped < 0.01 * n
 
@@ -297,8 +316,8 @@ class TestQuadratureTermination:
         p = Polynomial(coeffs[: k + 1])
         sigma, c1 = defaults_for(k)
         mesh = generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
-        exact_u, rows = counting(p)
-        error_norms(lagrange_interp(p, mesh, k), exact_u, p.deriv(), 1.0)
+        exact, rows = counting(pair(p, p.deriv()))
+        error_norms(lagrange_interp(p, mesh, k), exact, 1.0)
         assert rows[(k + 3) * 4 * _START_PANELS] == 0
 
 
@@ -322,7 +341,7 @@ def test_round_off_floor_keeps_values_above_noise(family, k, n, eps, e_energy, e
         family=MeshFamily(family), N=n, sigma=k + 1.0, epsilon=eps, c1=5.0 * (k + 1) / 4.0
     )
     fem = galerkin_solve(bvp, generate(spec), k)
-    tri = error_norms(fem, bvp.exact.u, bvp.exact.u_prime, eps)
+    tri = error_norms(fem, bvp.exact.u_and_prime, eps)
     assert tri.e_energy == pytest.approx(e_energy, rel=1e-6)
     if e_l2 is not None:
         assert tri.e_l2 == pytest.approx(e_l2, rel=1e-6)

@@ -51,7 +51,7 @@ class TestLayerTestProblem:
         ddu_fd = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (
             12 * step**2
         )
-        assert float(bvp.exact.u_prime(np.array(x))) == pytest.approx(du_fd, rel=1e-6)
+        assert float(bvp.exact.u_and_prime(np.array(x))[1]) == pytest.approx(du_fd, rel=1e-6)
         f_fd = -eps * ddu_fd - (3.0 - x) * du_fd + vals[2]
         assert float(bvp.f(np.array(x))) == pytest.approx(f_fd, rel=1e-6)
 
@@ -78,9 +78,21 @@ class TestLayerTestProblem:
         val_gap = np.abs(ex.u(x) - (ex.S(x) + ex.E(x)))
         val_ref = np.maximum(1e-300, np.abs(ex.S(x)) + np.abs(ex.E(x)))
         assert np.all(val_gap <= 1e-12 * val_ref)
-        der_gap = np.abs(ex.u_prime(x) - (ex.S_prime(x) + ex.E_prime(x)))
+        der_gap = np.abs(ex.u_and_prime(x)[1] - (ex.S_prime(x) + ex.E_prime(x)))
         der_ref = np.maximum(1e-300, np.abs(ex.S_prime(x)) + np.abs(ex.E_prime(x)))
         assert np.all(der_gap <= 1e-12 * der_ref)
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_joint_u_and_prime_matches_closed_forms_bit_for_bit(self, eps):
+        # exp(-2x/eps) is subnormal for x in about [354 eps, 373 eps]; the
+        # grid covers [0, 376 eps] in steps of eps/10 as well as [0, 1].
+        x = np.concatenate([np.linspace(0.0, 1.0, 1001), eps * np.linspace(0.0, 376.0, 3761)])
+        assert np.any((np.exp(-2.0 * x / eps) > 0.0) & (np.exp(-2.0 * x / eps) < 2.0**-1022))
+        u, du = layer_test_problem(eps).exact.u_and_prime(x)
+        np.testing.assert_array_equal(u, (1.0 - x) * (1.0 - np.exp(-2.0 * x / eps)))
+        np.testing.assert_array_equal(
+            du, -1.0 + np.exp(-2.0 * x / eps) * (1.0 + 2.0 * (1.0 - x) / eps)
+        )
 
     def test_validate_passes(self):
         layer_test_problem(1e-6).exact.validate()
@@ -130,7 +142,9 @@ class TestBVPValidation:
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
             u=lambda x: np.asarray(x, dtype=float),
-            u_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            u_and_prime=lambda x: (
+                np.asarray(x, dtype=float), np.ones_like(np.asarray(x, dtype=float))
+            ),
             S=lambda x: np.asarray(x, dtype=float),
             S_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             E=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -138,6 +152,22 @@ class TestBVPValidation:
         )
         with pytest.raises(ValueError, match="vanish"):
             bad.validate()
+
+    def test_exact_solution_validate_rejects_two_sources_of_u_that_differ(self):
+        arr = lambda x: np.asarray(x, dtype=float)
+        bubble = lambda x: arr(x) * (1.0 - arr(x))
+        slope = lambda x: 1.0 - 2.0 * arr(x)
+        zero = lambda x: np.zeros_like(arr(x))
+        drifted = ExactSolution(
+            u=bubble,
+            u_and_prime=lambda x: (bubble(x) + 1e-9 * arr(x), slope(x)),
+            S=bubble,
+            S_prime=slope,
+            E=zero,
+            E_prime=zero,
+        )
+        with pytest.raises(ValueError, match="u and u_and_prime disagree"):
+            drifted.validate()
 
 
 class TestLayerBounds:

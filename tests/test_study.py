@@ -131,7 +131,7 @@ class TestRunStudy:
                 b_prime=lambda x: -np.ones_like(arr(x)),
                 exact=ExactSolution(
                     u=lambda x: p(arr(x)),
-                    u_prime=lambda x: dp(arr(x)),
+                    u_and_prime=lambda x: (p(arr(x)), dp(arr(x))),
                     S=lambda x: p(arr(x)),
                     S_prime=lambda x: dp(arr(x)),
                     E=lambda x: np.zeros_like(arr(x)),
