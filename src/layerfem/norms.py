@@ -9,7 +9,11 @@ relative alone is out of reach there; with the round-off floor the cap is
 reached only where the integral still changes above noise.  The max norm is
 the largest error among the values already computed: those at the quadrature
 points of every level and at the element nodes.  Each level evaluates u and u'
-in one call, so a problem can share work such as an exponential between them.
+in one call per chunk of at most _CHUNK_POINTS points, so a problem can share
+work such as an exponential between them.  The levels work in views of one
+buffer allocated per call, and the exact's temporaries stay chunk-sized: level
+arrays allocated and freed afresh let the C heap return their pages to the OS
+after each level, and the next level faulted every page in again.
 The energy norm of a piecewise polynomial itself is exact from the reference
 stiffness and mass.
 """
@@ -31,6 +35,7 @@ __all__ = ["ErrorTriple", "error_norms", "polynomial_energy_norm"]
 _REL_TOL = 1e-10
 _START_PANELS = 4
 _MAX_PANELS = 64
+_CHUNK_POINTS = 8192  # per exact call: 64 KiB per array of its temporaries
 # Bound on the absolute error of a computed difference, per unit of the size
 # of the values it subtracts.
 _ROUNDOFF = 8.0 * np.finfo(float).eps
@@ -57,22 +62,19 @@ def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...
     return _frozen(pts, wts, shape, slope, np.abs(shape), np.abs(slope))
 
 
-def _at(value, shape: tuple[int, ...]) -> np.ndarray:
-    value = np.asarray(value, float)
-    return value if value.shape == shape else np.broadcast_to(value, shape)
-
-
-def _error_integrals(u: np.ndarray, fem: np.ndarray, abs_fem: np.ndarray, w: np.ndarray, h):
+def _error_integrals(
+    u: np.ndarray, fem: np.ndarray, abs_fem: np.ndarray, scratch: np.ndarray, w: np.ndarray, h
+):
     """Element integrals of (u - fem)^2, their round-off bounds and max |u - fem|.
 
     ``abs_fem`` is the sum of |c_a||phi_a| behind ``fem``, so |u| + abs_fem is
     the size of the values subtracted.  A difference of values of that size is
     off by at most delta = _ROUNDOFF*size, so its square is off by at most
-    2|diff|*delta + delta^2.  ``fem`` and ``abs_fem`` are overwritten; ``u``
-    is only read.
+    2|diff|*delta + delta^2.  ``fem``, ``abs_fem`` and ``scratch`` (of the same
+    shape) are overwritten; ``u`` is only read.
     """
     diff = np.subtract(u, fem, out=fem)
-    scratch = np.abs(u)
+    np.abs(u, out=scratch)
     delta = np.add(scratch, abs_fem, out=abs_fem)
     delta *= _ROUNDOFF
     np.abs(diff, out=scratch)
@@ -97,8 +99,8 @@ def error_norms(
     """Norms of exact - fem over the fem's mesh.
 
     ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for
-    a constant; it runs once per level and once at the global nodes, and what it
-    returns is only read.
+    a constant; it runs once per level and chunk and once at the global nodes,
+    and what it returns is only read.
     """
     mesh, degree = fem.mesh, fem.degree
     h, left = mesh.steps, mesh.nodes[:-1]
@@ -107,23 +109,36 @@ def error_norms(
 
     # Largest |exact - fem| at the global nodes and then at each level's points.
     peaks = [np.max(np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients))]
+    # Room for five arrays of the 8-panel level over all elements.
+    work = np.empty(5 * mesh.N * (degree + 3) * 2 * _START_PANELS)
 
     def level(elems, panels):
         # Integrals of the error squared and of its derivative squared on the
         # elements ``elems``, each with its round-off bound.
+        nonlocal work
         pts, wts, shape, slope, abs_shape, abs_slope = _quadrature_table(degree, degree + 3, panels)
+        size = elems.size * pts.size
+        if work.size < 5 * size:
+            work = np.empty(5 * size)
+        # x becomes the integrals' scratch once u and u' are in.
+        x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, elems.size, pts.size)
         he = h[elems]
-        x = np.multiply.outer(he, pts)
+        np.multiply.outer(he, pts, out=x)
         x += left[elems, None]
-        u, du = (_at(v, x.shape) for v in exact(x))
-        del x  # one level array fewer alive through the integrals
+        rows = max(1, _CHUNK_POINTS // pts.size)
+        for start in range(0, elems.size, rows):
+            chunk = slice(start, start + rows)
+            u[chunk], du[chunk] = exact(x[chunk])
         c, abs_c, hc = coeff[elems], abs_coeff[elems], he[:, None]
-        value = _error_integrals(u, c @ shape, abs_c @ abs_shape, wts, he)
+        value = _error_integrals(
+            u, np.matmul(c, shape, out=fem_v), np.matmul(abs_c, abs_shape, out=abs_v), x, wts, he
+        )
         peaks.append(value[2])
-        fem_du, abs_du = c @ slope, abs_c @ abs_slope
-        fem_du /= hc
-        abs_du /= hc
-        return *value[:2], *_error_integrals(du, fem_du, abs_du, wts, he)[:2]
+        np.matmul(c, slope, out=fem_v)
+        np.matmul(abs_c, abs_slope, out=abs_v)
+        fem_v /= hc
+        abs_v /= hc
+        return *value[:2], *_error_integrals(du, fem_v, abs_v, x, wts, he)[:2]
 
     active = np.arange(mesh.N)
     val2, val_noise, der2, der_noise = level(active, _START_PANELS)

@@ -103,7 +103,7 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         u'  = -1 + E0*(1 + 2(1-x)/eps)
         u'' = -(2/eps)*E0*(2 + 2(1-x)/eps)
 
-    and f = -eps*u'' - (3-x)*u' + u; u_and_prime evaluates E0 once for both.
+    and f = -eps*u'' - (3-x)*u' + u; u_and_prime and f evaluate E0 once per call.
     exp underflows to zero far from the layer, which only drops terms already
     below round-off of the smooth part.  The problem is immutable, so it is
     built once per epsilon and shared.
@@ -113,14 +113,22 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
     def u(x):
         return (1.0 - x) * (1.0 - np.exp(-2.0 * x / eps))
 
-    def u_and_prime(x):
-        e0 = np.exp(-2.0 * x / eps)
+    def layer_terms(x):
+        # E0, u and u' in place, each operation in the order of the formulas.
+        e0 = np.asarray(np.multiply(x, -2.0))
+        e0 /= eps
+        np.exp(e0, out=e0)
         s = 1.0 - x
-        return s * (1.0 - e0), -1.0 + e0 * (1.0 + 2.0 * s / eps)
+        u_x = (1.0 - e0) * s
+        s *= 2.0
+        s /= eps
+        s += 1.0
+        s *= e0
+        s -= 1.0
+        return e0, u_x, s
 
-    def u_double_prime(x):
-        e0 = np.exp(-2.0 * x / eps)
-        return -(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)
+    def u_and_prime(x):
+        return layer_terms(x)[1:]
 
     def smooth(x):
         return 1.0 - x
@@ -144,8 +152,8 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         return np.ones_like(np.asarray(x, dtype=float))
 
     def f(x):
-        u_x, du_x = u_and_prime(x)
-        return -eps * u_double_prime(x) - b(x) * du_x + u_x
+        e0, u_x, du_x = layer_terms(x)
+        return -eps * (-(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)) - b(x) * du_x + u_x
 
     exact = ExactSolution(
         u=u, u_and_prime=u_and_prime,

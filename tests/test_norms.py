@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -21,7 +22,7 @@ from layerfem import (
     layer_test_problem,
     polynomial_energy_norm,
 )
-from layerfem.norms import _MAX_PANELS, _START_PANELS
+from layerfem.norms import _CHUNK_POINTS, _MAX_PANELS, _START_PANELS
 
 
 def pair(f, df):
@@ -127,6 +128,32 @@ class TestErrorNorms:
         oracle = math.sqrt(eps * der2 + val2)
         assert tri.e_energy == pytest.approx(oracle, rel=1e-9)
 
+    def test_workspace_grows_for_deep_levels(self):
+        # A high-frequency sine settles on no element before the cap, so the
+        # 16-panel level runs on all elements and needs more room than the
+        # 8-panel level over all elements.  With every element at the cap the
+        # result is that of a fixed 64-panel rule, written independently here.
+        k, omega = 2, 400.0 * math.pi
+        mesh = uniform_mesh(16)
+        u = lambda x: np.sin(omega * np.asarray(x, dtype=float))
+        du = lambda x: omega * np.cos(omega * np.asarray(x, dtype=float))
+        fem = lagrange_interp(u, mesh, k)
+        exact, rows = counting(pair(u, du))
+        tri = error_norms(fem, exact, 1e-3)
+        assert rows[(k + 3) * 16] == rows[(k + 3) * _MAX_PANELS] == mesh.N
+
+        pts, wts = np.polynomial.legendre.leggauss(k + 3)
+        xi = ((np.arange(_MAX_PANELS)[:, None] + 0.5 * (pts + 1.0)) / _MAX_PANELS).ravel()
+        w = np.tile(0.5 * wts / _MAX_PANELS, _MAX_PANELS)
+        val2 = der2 = 0.0
+        for e in range(mesh.N):
+            x = mesh.nodes[e] + mesh.steps[e] * xi
+            dv, dd = u(x) - fem.evaluate(x), du(x) - fem.derivative(x)
+            val2 += mesh.steps[e] * float(np.sum(w * dv * dv))
+            der2 += mesh.steps[e] * float(np.sum(w * dd * dd))
+        assert tri.e_l2 == pytest.approx(math.sqrt(val2), rel=1e-12)
+        assert tri.e_energy == pytest.approx(math.sqrt(1e-3 * der2 + val2), rel=1e-12)
+
     def test_layer_problem_inf_error_detected_in_transition_element(self):
         # The max error must not be missed by sampling even though it sits in
         # the element where the layer dies out.
@@ -148,11 +175,22 @@ def _galerkin_case(k=2, n=32, eps=1e-6):
     return galerkin_solve(bvp, graded_mesh("roos", k, n, eps), k), bvp.exact, eps
 
 
+def _large_case(kind):
+    # roos, k = 2, N = 2048, eps = 1e-8: the 8-panel level has 81,920 points,
+    # evaluated in 11 chunks.
+    fem, exact, eps = _galerkin_case(k=2, n=2048, eps=1e-8)
+    if kind == "interpolant":
+        fem = lagrange_interp(exact.u, fem.mesh, 2)
+    return fem, exact, eps
+
+
 class TestExactValuesAreOnlyRead:
     # error_norms works in place on its own arrays; what the exact callable
-    # returns may be read-only arrays or arrays the caller keeps.
-    def test_read_only_arrays(self):
-        fem, exact, eps = _galerkin_case()
+    # returns may be read-only arrays or arrays the caller keeps.  At N = 2048
+    # every level is evaluated in several chunks.
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_read_only_arrays(self, n):
+        fem, exact, eps = _galerkin_case(n=n)
 
         def read_only(x):
             values = exact.u_and_prime(x)
@@ -163,10 +201,11 @@ class TestExactValuesAreOnlyRead:
         fresh = error_norms(fem, exact.u_and_prime, eps)
         assert error_norms(fem, read_only, eps) == fresh
 
-    def test_cached_arrays_are_left_unchanged(self):
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_cached_arrays_are_left_unchanged(self, n):
         # The callable hands back the same arrays for the same points, so a
         # write into them would show in the second call and in the cache.
-        fem, exact, eps = _galerkin_case()
+        fem, exact, eps = _galerkin_case(n=n)
         cache = {}
 
         def cached(x):
@@ -191,10 +230,11 @@ class TestExactValuesAreOnlyRead:
 
 def test_one_exact_call_per_level():
     # At roos, k = 2, N = 64, eps = 1e-6 some elements refine to the 64-panel
-    # cap, so all five levels run.  Each level evaluates u and u' in one call
-    # on its points, and one more call covers the global nodes.  The summed
-    # point count is the norms.evals count of perfbench's trace, 4529 for
-    # this case since the count was introduced.
+    # cap, so all five levels run.  u and u' are evaluated in one call per
+    # level per chunk (every level here fits in one chunk), and one more call
+    # covers the global nodes.  The summed point count is the norms.evals
+    # count of perfbench's trace, 4529 for this case since the count was
+    # introduced.
     fem, exact, eps = _galerkin_case(k=2, n=64, eps=1e-6)
     shapes = []
 
@@ -208,14 +248,30 @@ def test_one_exact_call_per_level():
     assert sum(math.prod(shape) for shape in shapes) == 4529
 
 
+def test_exact_calls_see_at_most_a_chunk():
+    # All elements settle at the first comparison, so the global nodes and
+    # two levels are evaluated, the levels in several chunks.  The summed
+    # point count is the norms.evals count of perfbench's trace for this
+    # case, 126977 as it was before the levels were chunked.
+    fem, exact, eps = _large_case("galerkin")
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return exact.u_and_prime(x)
+
+    error_norms(fem, counted, eps)
+    assert max(sizes) <= _CHUNK_POINTS
+    assert len(sizes) > 3
+    assert sum(sizes) == 126977
+
+
 @pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
 def test_transient_memory_is_a_few_level_arrays(kind):
     # One array of the 8-panel level holds N*8(k+3) doubles; every element
     # takes part in that level.  The norms must not keep many such arrays
     # alive at once.
-    fem, exact, eps = _galerkin_case(k=2, n=2048, eps=1e-8)
-    if kind == "interpolant":
-        fem = lagrange_interp(exact.u, fem.mesh, 2)
+    fem, exact, eps = _large_case(kind)
     error_norms(fem, exact.u_and_prime, eps)
     tracemalloc.start()
     try:
@@ -225,6 +281,25 @@ def test_transient_memory_is_a_few_level_arrays(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * fem.mesh.N * 8 * (2 + 3) * 8
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+@pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
+def test_norm_levels_do_not_refault_memory(kind):
+    # Level arrays allocated and freed afresh let the C heap hand their pages
+    # back to the OS, and the next level faults them in again: about 600 to
+    # 1,100 minor faults per call here.  The first calls may fault while the
+    # allocator's thresholds settle.
+    import resource
+
+    fem, exact, eps = _large_case(kind)
+    for _ in range(2):
+        error_norms(fem, exact.u_and_prime, eps)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        error_norms(fem, exact.u_and_prime, eps)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5 * 50
 
 
 @pytest.mark.parametrize("family", ["roos", "kopteva"])

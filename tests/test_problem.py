@@ -94,6 +94,18 @@ class TestLayerTestProblem:
             du, -1.0 + np.exp(-2.0 * x / eps) * (1.0 + 2.0 * (1.0 - x) / eps)
         )
 
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_forcing_matches_closed_form_bit_for_bit(self, eps):
+        # f shares exp(-2x/eps) with u and u' and keeps the closed form's
+        # operand order, subnormal band included.
+        x = np.concatenate([np.linspace(0.0, 1.0, 1001), eps * np.linspace(0.0, 376.0, 3761)])
+        e0 = np.exp(-2.0 * x / eps)
+        u = (1.0 - x) * (1.0 - e0)
+        du = -1.0 + e0 * (1.0 + 2.0 * (1.0 - x) / eps)
+        ddu = -(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)
+        f = layer_test_problem(eps).f(x)
+        np.testing.assert_array_equal(f, -eps * ddu - (3.0 - x) * du + u)
+
     def test_validate_passes(self):
         layer_test_problem(1e-6).exact.validate()
 
