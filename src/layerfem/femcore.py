@@ -6,7 +6,8 @@ Degree-k Lagrange elements on equidistant element-internal nodes, assembly of
 
 by Gauss-Legendre quadrature, and its solution by static condensation onto
 the vertex values: batched LU of the element interior blocks, then a pivoted
-tridiagonal elimination.  Global unknowns are node-ordered left to right.
+tridiagonal elimination, both on strided views of the element arrays.
+Global unknowns are node-ordered left to right.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .mesh import Mesh1D
 
@@ -115,10 +117,8 @@ def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def global_nodes(mesh: Mesh1D, degree: int) -> np.ndarray:
     """Coordinates of the k*N + 1 global nodes x_i + (j/k)*h_i, left to right."""
-    k = degree
-    h = mesh.steps
-    local = np.arange(k) / k
-    inner = mesh.nodes[:-1, None] + h[:, None] * local[None, :]
+    local = np.arange(degree) / degree
+    inner = mesh.nodes[:-1, None] + mesh.steps[:, None] * local[None, :]
     return np.append(inner.ravel(), mesh.nodes[-1])
 
 
@@ -137,11 +137,10 @@ class PiecewisePolynomial:
 
     def __post_init__(self) -> None:
         _check_degree(self.degree)
-        coeff = np.asarray(self.coefficients, dtype=float)
+        coeff = np.array(self.coefficients, dtype=float)
         expected = self.degree * self.mesh.N + 1
         if coeff.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {coeff.shape}")
-        coeff = coeff.copy()
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
 
@@ -257,7 +256,7 @@ def _element_tables(degree: int, q: int) -> tuple[np.ndarray, ...]:
 
 def _weighted(fn, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """fn at the quadrature points x, times the quadrature weights."""
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape) * weights
+    return np.multiply(fn(x), weights, out=np.empty(x.shape))
 
 
 def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | None = None) -> ElementSystem:
@@ -293,44 +292,40 @@ class TridiagonalLU:
     ``dl``, ``d`` and ``du`` are the sub-, main and superdiagonal.  Row i is
     interchanged with row i + 1 when |dl[i]| exceeds the pivot candidate, as
     LAPACK's dgttrf does, so U gains a second superdiagonal.  The elimination
-    runs over Python floats.  Raises :class:`SingularMatrixError` with the
-    elimination step of the first zero or non-finite pivot.  The inputs are
-    not modified.
+    runs over Python floats, with the pivot row in locals.  Raises
+    :class:`SingularMatrixError` with the elimination step of the first zero
+    or non-finite pivot.  The inputs are not modified.
     """
 
     def __init__(self, dl, d, du):
         d = np.asarray(d, dtype=float).tolist()
         dl = np.asarray(dl, dtype=float).tolist()
-        # du and the second superdiagonal du2 get one trailing zero so that
-        # the last step needs no special case.
-        du = np.asarray(du, dtype=float).tolist() + [0.0]
+        du = np.asarray(du, dtype=float).tolist() + [0.0]   # du[i + 1] exists at the last step
         n = len(d)
         if n < 1 or len(dl) != n - 1 or len(du) != n:
             raise ValueError("need n >= 1 diagonal and n - 1 off-diagonal entries")
-        du2 = [0.0] * n
-        swap = [False] * n
+        du2, swap = [0.0] * n, [False] * n
+        p, u = d[0], du[0]   # diagonal and superdiagonal of the pivot row
         for i in range(n - 1):
-            p, s = d[i], dl[i]
+            s = dl[i]
             if abs(p) >= abs(s):
                 if not 0.0 < abs(p) < math.inf:
                     raise SingularMatrixError(i)
-                f = s / p
-                d[i + 1] -= f * du[i]
+                dl[i] = f = s / p
+                d[i], du[i] = p, u
+                p, u = d[i + 1] - f * u, du[i + 1]
             else:
                 # Also taken when p or s is NaN, which the check rejects.
                 if not (0.0 < abs(s) < math.inf and abs(p) < math.inf):
                     raise SingularMatrixError(i)
-                f = p / s
-                d[i] = s
-                t = d[i + 1]
-                d[i + 1] = du[i] - f * t
-                du[i] = t
-                du2[i] = du[i + 1]
-                du[i + 1] = -f * du[i + 1]
-                swap[i] = True
-            dl[i] = f
-        if not 0.0 < abs(d[n - 1]) < math.inf:
+                dl[i] = f = p / s
+                t, r = d[i + 1], du[i + 1]
+                d[i], du[i] = s, t
+                du2[i], swap[i] = r, True
+                p, u = u - f * t, -f * r
+        if not 0.0 < abs(p) < math.inf:
             raise SingularMatrixError(n - 1)
+        d[n - 1], du[n - 1] = p, u
         self._factors = (dl, d, du, du2, swap)
 
     def solve(self, b) -> np.ndarray:
@@ -365,19 +360,19 @@ class _Condensation:
     """
 
     def __init__(self, matrices: np.ndarray):
-        k = matrices.shape[1] - 1
-        self._vertex = [0, k]
-        inner = slice(1, k)
-        self._a_ii = matrices[:, inner, inner]
-        self._a_vi = matrices[:, self._vertex, inner]
+        k = self._k = matrices.shape[1] - 1
+        self._a_ii = matrices[:, 1:k, 1:k]
+        self._a_vi = matrices[:, ::k, 1:k]   # rows 0 and k
         # Interior values per unit vertex value: u_inner = y - w @ (v_left, v_right).
-        self._w = self._interior_solve(matrices[:, inner][:, :, self._vertex])
-        schur = matrices[:, self._vertex][:, :, self._vertex] - self._a_vi @ self._w
+        self._w = self._interior_solve(matrices[:, 1:k, ::k])
+        schur = matrices[:, ::k, ::k] - self._a_vi @ self._w
         self._lu = TridiagonalLU(
             schur[1:-1, 1, 0], schur[:-1, 1, 1] + schur[1:, 0, 0], schur[1:-1, 0, 1]
         )
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
+        if rhs.shape[1] == 0:   # k = 1: no interior unknowns
+            return rhs
         try:
             return np.linalg.solve(self._a_ii, rhs)
         except np.linalg.LinAlgError:
@@ -389,13 +384,15 @@ class _Condensation:
             raise
 
     def solve(self, loads: np.ndarray) -> np.ndarray:
-        y = self._interior_solve(loads[:, 1:-1, None])
-        g = loads[:, self._vertex] - (self._a_vi @ y)[:, :, 0]
-        v = np.zeros(loads.shape[0] + 1)
+        k, n_elem = self._k, loads.shape[0]
+        y = self._interior_solve(loads[:, 1:k, None])
+        g = loads[:, ::k] - (self._a_vi @ y)[:, :, 0]
+        out = np.zeros(k * n_elem + 1)
+        v = out[::k]
         v[1:-1] = self._lu.solve(g[:-1, 1] + g[1:, 0])
-        ends = np.stack([v[:-1], v[1:]], axis=1)
-        inner = (y - self._w @ ends[:, :, None])[:, :, 0]
-        return np.append(np.column_stack([v[:-1], inner]).ravel(), v[-1])
+        ends = as_strided(v, (n_elem, 2), v.strides * 2, writeable=False)   # (v_e, v_e+1)
+        out[:-1].reshape(n_elem, k)[:, 1:] = (y - self._w @ ends[:, :, None])[:, :, 0]
+        return out
 
 
 def solve(system: ElementSystem) -> np.ndarray:
@@ -408,7 +405,10 @@ def solve(system: ElementSystem) -> np.ndarray:
     element.  One step of iterative refinement against the element-wise
     residual follows: when epsilon << h the interior blocks have diagonals
     of size O(h), and recovering the interior values can magnify the error
-    of the vertex values by up to ~N.
+    of the vertex values by up to ~N.  Each condensed solve fills one array
+    of k*N + 1 coefficients through strided views.  k = 1 makes no LAPACK
+    call, k >= 2 three (w, y, y of the residual): y solved with w's two
+    columns would round differently (trsm multiplies by 1/pivot, trsv divides).
 
     Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the
     vertex system (with its elimination step) or a singular interior block
@@ -416,10 +416,11 @@ def solve(system: ElementSystem) -> np.ndarray:
     """
     condensed = _Condensation(system.matrices)
     x = condensed.solve(system.loads)
-    k = system.degree
-    local = np.lib.stride_tricks.sliding_window_view(x, k + 1)[::k]   # (N, k+1)
+    k, n_elem = system.degree, system.loads.shape[0]
+    local = as_strided(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize), writeable=False)
     residual = system.loads - (system.matrices @ local[:, :, None])[:, :, 0]
-    return (x + condensed.solve(residual))[1:-1]
+    x += condensed.solve(residual)
+    return x[1:-1]
 
 
 def galerkin_solve(
@@ -428,7 +429,6 @@ def galerkin_solve(
     """Assemble and solve the discrete problem; returns the solution with the
     homogeneous boundary values reinserted."""
     system = assemble(bvp, mesh, degree, quad_points)
-    interior = solve(system)
     coeff = np.zeros(degree * mesh.N + 1)
-    coeff[1:-1] = interior
+    coeff[1:-1] = solve(system)
     return PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=coeff)

@@ -143,10 +143,13 @@ class Mesh1D:
             raise ValueError(f"expected {self.spec.N + 1} nodes, got {nodes.size}")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("mesh must span [0, 1] exactly")
-        if not np.all(np.diff(nodes) > 0.0):
+        steps = np.diff(nodes)
+        if not np.all(steps > 0.0):
             raise ValueError("mesh nodes must be strictly increasing")
         nodes.setflags(write=False)
+        steps.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_steps", steps)
 
     @property
     def N(self) -> int:
@@ -155,8 +158,8 @@ class Mesh1D:
 
     @property
     def steps(self) -> np.ndarray:
-        """Interval lengths h_i = x_{i+1} - x_i."""
-        return np.diff(self.nodes)
+        """Interval lengths h_i = x_{i+1} - x_i, read-only."""
+        return self._steps
 
 
 def _roos_map(t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:

@@ -158,6 +158,21 @@ class TestAssembly:
         # (x, hat_i) = h*x_i exactly for interior hats.
         np.testing.assert_allclose(system.rhs, h * np.array([0.25, 0.5, 0.75]), rtol=1e-14)
 
+    def test_scalar_coefficients_broadcast_like_arrays(self):
+        # A coefficient may return a scalar; the system is the same as for
+        # the constant array, bit for bit.
+        ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        systems = [
+            assemble(TwoPointBVP(epsilon=0.01, b=b, c=c, f=f, b_prime=ones), mesh, 3)
+            for b, c, f in [
+                (lambda x: 2.0, lambda x: 1, lambda x: 0.5),
+                (lambda x: 2.0 * ones(x), ones, lambda x: 0.5 * ones(x)),
+            ]
+        ]
+        np.testing.assert_array_equal(systems[0].matrices, systems[1].matrices)
+        np.testing.assert_array_equal(systems[0].loads, systems[1].loads)
+
     def test_matrix_against_dense_quadrature_oracle(self):
         # Independent oracle: nodal polynomials built from roots with
         # numpy.polynomial, dense storage, 20-point Gauss per element.
@@ -364,6 +379,29 @@ class TestBandedSolve:
             assert n < 17 or any(swap)
             np.testing.assert_array_equal(lu.solve(b), x[:n])
 
+    def test_factors_match_indexed_dgttrf_bit_for_bit(self):
+        # LAPACK's dgttrf written over the diagonals in place, index by index;
+        # small diagonals make rows swap.
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 17, 400):
+            dl, du = rng.normal(size=n - 1).tolist(), rng.normal(size=n - 1).tolist() + [0.0]
+            d = (rng.normal(size=n) * 0.05).tolist()
+            lu = TridiagonalLU(np.array(dl), np.array(d), np.array(du[:-1]))
+            du2, swap = [0.0] * n, [False] * n
+            for i in range(n - 1):
+                if abs(d[i]) >= abs(dl[i]):
+                    f = dl[i] / d[i]
+                    d[i + 1] -= f * du[i]
+                else:
+                    f = d[i] / dl[i]
+                    d[i], d[i + 1], du[i] = dl[i], du[i] - f * d[i + 1], d[i + 1]
+                    du2[i], du[i + 1] = du[i + 1], -f * du[i + 1]
+                    swap[i] = True
+                dl[i] = f
+            assert n < 17 or any(swap)
+            for got, expected in zip(lu._factors, (dl, d, du, du2, swap)):
+                np.testing.assert_array_equal(np.array(got), np.array(expected))
+
     def test_rejects_right_hand_side_of_wrong_length(self):
         lu = TridiagonalLU(*_tridiagonal(np.eye(3)))
         for b in (np.ones(2), np.ones(4)):
@@ -430,6 +468,69 @@ class TestBandedSolve:
         norm_a = np.max(np.sum(np.abs(_assembled_band(system)), axis=1))
         bound = 1e-9 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(system.rhs)))
         assert np.max(np.abs(residual)) <= bound
+
+
+def _indexed_condensed_solve(system):
+    """femcore.solve's arithmetic written with index lists and stacked copies."""
+    matrices, loads, k = system.matrices, system.loads, system.degree
+    vertex, inner = [0, k], slice(1, k)
+    a_ii, a_vi = matrices[:, inner, inner], matrices[:, vertex, inner]
+    w = np.linalg.solve(a_ii, matrices[:, inner][:, :, vertex])
+    schur = matrices[:, vertex][:, :, vertex] - a_vi @ w
+    lu = TridiagonalLU(schur[1:-1, 1, 0], schur[:-1, 1, 1] + schur[1:, 0, 0], schur[1:-1, 0, 1])
+
+    def condensed(rhs):
+        y = np.linalg.solve(a_ii, rhs[:, 1:-1, None])
+        g = rhs[:, vertex] - (a_vi @ y)[:, :, 0]
+        v = np.zeros(rhs.shape[0] + 1)
+        v[1:-1] = lu.solve(g[:-1, 1] + g[1:, 0])
+        ends = np.stack([v[:-1], v[1:]], axis=1)
+        interior = (y - w @ ends[:, :, None])[:, :, 0]
+        return np.append(np.column_stack([v[:-1], interior]).ravel(), v[-1])
+
+    x = condensed(loads)
+    local = np.lib.stride_tricks.sliding_window_view(x, k + 1)[::k]
+    residual = loads - (matrices @ local[:, :, None])[:, :, 0]
+    return (x + condensed(residual))[1:-1]
+
+
+class TestCondensedSolve:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", [MeshFamily.ROOS, MeshFamily.KOPTEVA])
+    def test_matches_indexed_condensation_bit_for_bit(self, family, k):
+        bvp = layer_test_problem(1e-8)
+        sigma, c1 = defaults_for(k)
+        for n_elem in (8, 16, 64, 256):
+            spec = MeshSpec(family=family, N=n_elem, sigma=sigma, epsilon=1e-8, c1=c1)
+            system = assemble(bvp, generate(spec), k)
+            assert np.array_equal(solve(system), _indexed_condensed_solve(system))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_indexed_condensation_on_random_systems(self, k):
+        rng = np.random.default_rng(100 + k)
+        bvp = layer_test_problem(0.01)
+        for n_elem in (4, 16, 40):
+            system = assemble(bvp, _random_mesh(rng, n_elem), k)
+            assert np.array_equal(solve(system), _indexed_condensed_solve(system))
+        for n_elem in (2, 3, 17, 40):
+            shape = (n_elem, k + 1)
+            noisy = ElementSystem(
+                matrices=rng.normal(size=shape + (k + 1,)), loads=rng.normal(size=shape), degree=k
+            )
+            assert np.array_equal(solve(noisy), _indexed_condensed_solve(noisy))
+
+    def test_degree_one_makes_no_lapack_call(self, monkeypatch):
+        bvp = layer_test_problem(1e-6)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=64, sigma=2.0, epsilon=1e-6))
+        system = assemble(bvp, mesh, 1)
+        x_ref = np.linalg.solve(system.to_dense(), system.rhs)
+
+        def no_lapack(*args):
+            raise AssertionError("np.linalg.solve called for k = 1")
+
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        x = solve(system)
+        assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
 
 
 def _element_matvec(system, x):

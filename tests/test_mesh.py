@@ -154,6 +154,12 @@ class TestGenerate:
         assert mesh.nodes[-1] == 1.0
         assert np.all(np.diff(mesh.nodes) > 0.0)
 
+    def test_steps_are_the_node_differences_computed_once_and_read_only(self):
+        mesh = generate(roos_spec(N=64, sigma=3.0, eps=1e-6))
+        np.testing.assert_array_equal(mesh.steps, np.diff(mesh.nodes))
+        assert mesh.steps is mesh.steps
+        assert not mesh.steps.flags.writeable
+
 
 class TestStepSizeChecks:
     def test_example_mesh_passes(self):
