@@ -18,11 +18,15 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import Mesh1D
+
 __all__ = [
     "ExactSolution",
     "TwoPointBVP",
     "layer_test_problem",
     "get_problem",
+    "check_layer_bounds",
+    "LayerBoundsReport",
 ]
 
 ScalarFn = Callable[[np.ndarray], np.ndarray]
@@ -172,3 +176,33 @@ def get_problem(name: str, epsilon: float) -> TwoPointBVP:
         known = ", ".join(sorted(_PROBLEMS))
         raise ValueError(f"unknown problem {name!r}; available: {known}") from None
     return factory(epsilon)
+
+
+@dataclass(frozen=True)
+class LayerBoundsReport:
+    """Layer magnitude at the last fine node and the first coarse node.
+
+    On a graded mesh the layer part satisfies |E(x_{N/2-1})| <= C*N^-sigma
+    and |E(x_{N/2})| <= C*eps^sigma; the two ratios below are those values
+    scaled by the corresponding bound and stay O(1) when the bounds hold.
+    """
+
+    last_fine_value: float
+    last_fine_ratio: float
+    first_coarse_value: float
+    first_coarse_ratio: float
+
+
+def check_layer_bounds(bvp: TwoPointBVP, mesh: Mesh1D, sigma: float) -> LayerBoundsReport:
+    """Evaluate the layer-decay ratios at the fine/coarse transition nodes."""
+    if bvp.exact is None:
+        raise ValueError("layer bounds need a problem with an exact solution")
+    m = mesh.N // 2
+    e_fine = abs(float(bvp.exact.E(mesh.nodes[m - 1])))
+    e_coarse = abs(float(bvp.exact.E(mesh.nodes[m])))
+    return LayerBoundsReport(
+        last_fine_value=e_fine,
+        last_fine_ratio=e_fine * mesh.N**sigma,
+        first_coarse_value=e_coarse,
+        first_coarse_ratio=e_coarse * bvp.epsilon ** (-sigma),
+    )

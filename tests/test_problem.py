@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from layerfem import (
     ExactSolution,
+    MeshFamily,
+    MeshSpec,
     TwoPointBVP,
+    check_layer_bounds,
+    generate,
     get_problem,
     layer_test_problem,
 )
@@ -174,3 +180,44 @@ class TestBVPValidation:
         )
         with pytest.raises(ValueError, match="u and u_and_prime disagree"):
             drifted.validate()
+
+
+class TestLayerBounds:
+    def test_frozen_example(self):
+        # x_3 = -0.02*ln(0.2575) ~ 0.0271347, |E(x_3)| ~ 0.0042772,
+        # ratio |E(x_3)|*N^2 ~ 0.27374.
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        report = check_layer_bounds(bvp, mesh, sigma=2.0)
+        assert report.last_fine_value == pytest.approx(0.004277220521534545, rel=1e-10)
+        assert report.last_fine_ratio == pytest.approx(0.27374211337821086, rel=1e-10)
+        assert report.last_fine_ratio < 10.0
+
+    @pytest.mark.parametrize("family", [MeshFamily.ROOS, MeshFamily.KOPTEVA])
+    @pytest.mark.parametrize("sigma", [2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_ratios_bounded_over_grid(self, family, sigma, eps):
+        bvp = layer_test_problem(eps)
+        for N in [8, 64, 512, 2048]:
+            mesh = generate(MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=2.5))
+            report = check_layer_bounds(bvp, mesh, sigma=sigma)
+            assert report.last_fine_ratio < 10.0, (family, sigma, eps, N)
+            assert report.first_coarse_ratio < 10.0, (family, sigma, eps, N)
+
+    def test_uniform_mesh_still_evaluates(self):
+        bvp = layer_test_problem(0.5)
+        mesh = generate(MeshSpec(family=MeshFamily.UNIFORM, N=8, sigma=2.0, epsilon=0.5))
+        report = check_layer_bounds(bvp, mesh, sigma=2.0)
+        assert math.isfinite(report.last_fine_ratio)
+
+    def test_requires_exact_solution(self):
+        bvp = TwoPointBVP(
+            epsilon=0.01,
+            b=lambda x: 3.0 - x,
+            c=lambda x: np.ones_like(x),
+            f=lambda x: np.zeros_like(x),
+            b_prime=lambda x: -np.ones_like(x),
+        )
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        with pytest.raises(ValueError, match="exact"):
+            check_layer_bounds(bvp, mesh, sigma=2.0)
