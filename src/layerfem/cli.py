@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from .femcore import SingularMatrixError, galerkin_solve
+from .femcore import SingularMatrixError
 from .mesh import MeshFamily, MeshSpec, check_step_sizes, generate, mesh_to_csv
-from .norms import error_norms
 from .problem import get_problem
 from .study import (
     DEFAULT_EPSILONS,
@@ -25,6 +24,7 @@ from .study import (
     format_error,
     interpolation_study,
     run_study,
+    solve_point,
 )
 
 _FAMILY_CHOICES = [f.value for f in MeshFamily]
@@ -125,20 +125,16 @@ def _single(values, name: str, default=None):
     return values
 
 
-def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> tuple[MeshSpec, float]:
-    n_intervals = _single(args.N, "N")
-    eps = _single(args.epsilon, "epsilon")
-    family = _single(args.mesh_type, "mesh-type")
+def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> MeshSpec:
     sigma, c1 = defaults_for(k or 1, args.sigma, args.c1)
-    spec = MeshSpec(
-        family=family,
-        N=n_intervals,
+    return MeshSpec(
+        N=_single(args.N, "N"),
+        epsilon=_single(args.epsilon, "epsilon"),
+        family=_single(args.mesh_type, "mesh-type"),
         sigma=sigma,
-        epsilon=eps,
         c1=c1,
         c_eps=args.c_eps,
     )
-    return spec, eps
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -150,37 +146,30 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_mesh(args: argparse.Namespace) -> None:
-    spec, _ = _mesh_from_args(args)
-    _write_output(args, mesh_to_csv(generate(spec)))
+    _write_output(args, mesh_to_csv(generate(_mesh_from_args(args))))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
     k = _single(args.k, "k", default=None)
-    spec, eps = _mesh_from_args(args, k)
+    spec = _mesh_from_args(args, k)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    bvp = get_problem(args.problem, eps)
-    mesh = generate(spec)
-    fem = galerkin_solve(bvp, mesh, k)
+    fem, tri = solve_point(args.problem, spec, k)
 
+    mesh = fem.mesh
     local = np.linspace(0.0, 1.0, args.samples, endpoint=False)
     x = np.append(
         (mesh.nodes[:-1, None] + mesh.steps[:, None] * local[None, :]).ravel(), 1.0
     )
     u_num = fem.evaluate(x)
+    u_ref = np.asarray(get_problem(args.problem, spec.epsilon).exact.u(x), dtype=float)
     lines = ["x,u_N,u_exact,error"]
-    if bvp.exact is not None:
-        u_ref = np.asarray(bvp.exact.u(x), dtype=float)
-        for xv, un, ue in zip(x, u_num, u_ref):
-            lines.append(f"{float(xv)!r},{float(un)!r},{float(ue)!r},{float(un - ue)!r}")
-        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
-        print(
-            f"e_inf={tri.e_inf:.6e} e_l2={tri.e_l2:.6e} e_energy={tri.e_energy:.6e}",
-            file=sys.stderr,
-        )
-    else:
-        for xv, un in zip(x, u_num):
-            lines.append(f"{float(xv)!r},{float(un)!r},,")
+    for xv, un, ue in zip(x, u_num, u_ref):
+        lines.append(f"{float(xv)!r},{float(un)!r},{float(ue)!r},{float(un - ue)!r}")
+    print(
+        f"e_inf={tri.e_inf:.6e} e_l2={tri.e_l2:.6e} e_energy={tri.e_energy:.6e}",
+        file=sys.stderr,
+    )
     _write_output(args, "\n".join(lines) + "\n")
 
 

@@ -7,7 +7,8 @@ The problem class is
 with b >= beta > 1 and c + b'/2 >= gamma > 0, so the solution develops a
 boundary layer of width O(epsilon*log(1/epsilon)) at x = 0 and splits into a
 smooth part plus a layer part, u = S + E.  Coefficient callables must accept
-numpy arrays and be pure.  An exact solution also gives (u, u') from one call.
+numpy arrays and be pure.  An exact solution gives u, (u, u') from one call
+and the split u = S + E; the corrected interpolant uses the layer part E.
 """
 
 from __future__ import annotations
@@ -18,41 +19,38 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import Mesh1D
-
 __all__ = [
     "ExactSolution",
     "TwoPointBVP",
     "layer_test_problem",
     "get_problem",
-    "check_layer_bounds",
-    "LayerBoundsReport",
 ]
 
 ScalarFn = Callable[[np.ndarray], np.ndarray]
 
+_N_SAMPLES = 1000   # uniform grid on [0, 1] on which problem data is checked
+_TOL = 1e-12        # validate's bound on |u| at the ends and on u - (S + E), u - u_and_prime
+
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact solution u, (u, u') from one call, and the split u = S + E with derivatives."""
+    """Exact solution u, (u, u') from one call, and the split u = S + E (smooth + layer)."""
 
     u: ScalarFn
     u_and_prime: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     S: ScalarFn
-    S_prime: ScalarFn
     E: ScalarFn
-    E_prime: ScalarFn
 
-    def validate(self, n_samples: int = 1000, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check u(0) = u(1) = 0, u = S + E and u = u_and_prime(x)[0] on a uniform grid."""
-        if abs(float(self.u(np.array(0.0)))) > tol or abs(float(self.u(np.array(1.0)))) > tol:
+        if abs(float(self.u(np.array(0.0)))) > _TOL or abs(float(self.u(np.array(1.0)))) > _TOL:
             raise ValueError("exact solution must vanish at both endpoints")
-        x = np.linspace(0.0, 1.0, n_samples)
+        x = np.linspace(0.0, 1.0, _N_SAMPLES)
         others = {"S + E": self.S(x) + self.E(x), "u_and_prime": self.u_and_prime(x)[0]}
         for name, other in others.items():
             gap = np.max(np.abs(self.u(x) - other))
-            if gap > tol:
-                raise ValueError(f"u and {name} disagree by {gap:.3e} (> {tol:.0e})")
+            if gap > _TOL:
+                raise ValueError(f"u and {name} disagree by {gap:.3e} (> {_TOL:.0e})")
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,9 @@ class TwoPointBVP:
         if self.exact is not None:
             self.exact.validate()
 
-    def sampled_bounds(self, n_samples: int = 1000) -> tuple[float, float]:
+    def sampled_bounds(self) -> tuple[float, float]:
         """Sampled minima (beta, gamma) of b and c + b'/2 on a uniform grid."""
-        x = np.linspace(0.0, 1.0, n_samples)
+        x = np.linspace(0.0, 1.0, _N_SAMPLES)
         beta = float(np.min(np.broadcast_to(self.b(x), x.shape)))
         gamma = float(np.min(np.broadcast_to(self.c(x) + 0.5 * self.b_prime(x), x.shape)))
         return beta, gamma
@@ -133,14 +131,8 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
     def smooth(x):
         return 1.0 - x
 
-    def smooth_prime(x):
-        return -np.ones_like(np.asarray(x, dtype=float))
-
     def layer(x):
         return -(1.0 - x) * np.exp(-2.0 * x / eps)
-
-    def layer_prime(x):
-        return np.exp(-2.0 * x / eps) * (1.0 + 2.0 * (1.0 - x) / eps)
 
     def b(x):
         return 3.0 - x
@@ -155,11 +147,7 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         e0, u_x, du_x = layer_terms(x)
         return -eps * (-(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)) - b(x) * du_x + u_x
 
-    exact = ExactSolution(
-        u=u, u_and_prime=u_and_prime,
-        S=smooth, S_prime=smooth_prime,
-        E=layer, E_prime=layer_prime,
-    )
+    exact = ExactSolution(u=u, u_and_prime=u_and_prime, S=smooth, E=layer)
     return TwoPointBVP(epsilon=eps, b=b, c=c, f=f, b_prime=b_prime, exact=exact)
 
 
@@ -177,32 +165,3 @@ def get_problem(name: str, epsilon: float) -> TwoPointBVP:
         raise ValueError(f"unknown problem {name!r}; available: {known}") from None
     return factory(epsilon)
 
-
-@dataclass(frozen=True)
-class LayerBoundsReport:
-    """Layer magnitude at the last fine node and the first coarse node.
-
-    On a graded mesh the layer part satisfies |E(x_{N/2-1})| <= C*N^-sigma
-    and |E(x_{N/2})| <= C*eps^sigma; the two ratios below are those values
-    scaled by the corresponding bound and stay O(1) when the bounds hold.
-    """
-
-    last_fine_value: float
-    last_fine_ratio: float
-    first_coarse_value: float
-    first_coarse_ratio: float
-
-
-def check_layer_bounds(bvp: TwoPointBVP, mesh: Mesh1D, sigma: float) -> LayerBoundsReport:
-    """Evaluate the layer-decay ratios at the fine/coarse transition nodes."""
-    if bvp.exact is None:
-        raise ValueError("layer bounds need a problem with an exact solution")
-    m = mesh.N // 2
-    e_fine = abs(float(bvp.exact.E(mesh.nodes[m - 1])))
-    e_coarse = abs(float(bvp.exact.E(mesh.nodes[m])))
-    return LayerBoundsReport(
-        last_fine_value=e_fine,
-        last_fine_ratio=e_fine * mesh.N**sigma,
-        first_coarse_value=e_coarse,
-        first_coarse_ratio=e_coarse * bvp.epsilon ** (-sigma),
-    )

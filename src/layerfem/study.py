@@ -1,9 +1,10 @@
 """Convergence experiment driver.
 
 Sweeps (mesh family, degree, N, epsilon) over a benchmark problem, records
-the three error norms per run, aggregates the uniform error
-e^N = max_epsilon ||u - u^N||_eps and the rates r^N = log2(e^N / e^{2N}),
-and renders the results as CSV or an aligned text table.
+the three error norms of each run (one :func:`solve_point`), aggregates the
+uniform error e^N = max_epsilon ||u - u^N||_eps and the rates
+r^N = log2(e^N / e^{2N}), and renders the results as CSV or an aligned text
+table.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .femcore import galerkin_solve
+from .femcore import PiecewisePolynomial, galerkin_solve
 from .interpolants import build_bundle
 from .mesh import MeshFamily, MeshSpec, generate
-from .norms import error_norms, polynomial_energy_norm
+from .norms import ErrorTriple, error_norms, polynomial_energy_norm
 from .problem import get_problem
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "AggregateRow",
     "StudyResult",
     "run_study",
+    "solve_point",
     "aggregate",
     "emit",
     "format_error",
@@ -147,19 +149,26 @@ def run_study(config: StudyConfig) -> StudyResult:
     return StudyResult(records=records, aggregates=aggregate(records))
 
 
+def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:
+    """Galerkin solution of degree ``k`` on ``spec``'s mesh and its error norms.
+
+    The one problem -> mesh -> FEM -> norms chain, shared by :func:`run_study`
+    and the ``solve`` command.  A problem without an exact solution raises a
+    ValueError: there is nothing to measure the error against.
+    """
+    bvp = get_problem(problem, spec.epsilon)
+    if bvp.exact is None:
+        raise ValueError(f"problem {problem!r} has no exact solution to measure against")
+    fem = galerkin_solve(bvp, generate(spec), k)
+    return fem, error_norms(fem, bvp.exact.u_and_prime, spec.epsilon)
+
+
 def _single_run(
     problem: str, family: str, k: int, sigma: float, c1: float, n_intervals: int, eps: float
 ) -> ConvergenceRecord:
     try:
-        bvp = get_problem(problem, eps)
-        if bvp.exact is None:
-            raise ValueError(f"problem {problem!r} has no exact solution to measure against")
-        spec = MeshSpec(
-            family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1
-        )
-        mesh = generate(spec)
-        fem = galerkin_solve(bvp, mesh, k)
-        tri = error_norms(fem, bvp.exact.u_and_prime, eps)
+        spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
+        _, tri = solve_point(problem, spec, k)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         nan = float("nan")
         return ConvergenceRecord(family, k, sigma, n_intervals, eps, nan, nan, nan, str(exc))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from layerfem import StudyConfig, StudyResult
+from layerfem import MeshSpec, StudyConfig, StudyResult, defaults_for, solve_point
 from layerfem.cli import main
 
 
@@ -65,6 +65,24 @@ class TestSolveCommand:
         assert float(first[0]) == 0.0
         assert float(first[3]) == pytest.approx(float(first[1]) - float(first[2]))
         assert "e_energy=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,k", [("roos", 4), ("kopteva", 3)])
+    def test_stderr_reports_the_solve_point_errors(self, family, k, capsys):
+        assert main(["solve", "--mesh-type", family, "--k", str(k), "--N", "32",
+                     "--epsilon", "1e-7", "--samples", "2"]) == 0
+        sigma, c1 = defaults_for(k)
+        spec = MeshSpec(family=family, N=32, sigma=sigma, epsilon=1e-7, c1=c1)
+        _, tri = solve_point("layer-test", spec, k)
+        expected = f"e_inf={tri.e_inf:.6e} e_l2={tri.e_l2:.6e} e_energy={tri.e_energy:.6e}\n"
+        assert capsys.readouterr().err == expected
+
+    def test_problem_without_exact_solution_is_invalid_usage(self, no_exact_problem, capsys):
+        code = main(["solve", "--mesh-type", "roos", "--k", "1", "--N", "8",
+                     "--epsilon", "1e-6", "--problem", no_exact_problem])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no exact solution" in captured.err
 
     def test_unknown_problem_is_invalid_usage(self, capsys):
         code = main(

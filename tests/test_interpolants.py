@@ -147,9 +147,7 @@ class TestBundle:
             u=lambda x: arr(x) * (1.0 - arr(x)),
             u_and_prime=lambda x: (arr(x) * (1.0 - arr(x)), 1.0 - 2.0 * arr(x)),
             S=lambda x: arr(x) * (1.0 - arr(x)),
-            S_prime=lambda x: 1.0 - 2.0 * arr(x),
             E=lambda x: np.zeros_like(arr(x)),
-            E_prime=lambda x: np.zeros_like(arr(x)),
         )
         mesh = layer_mesh(N=8)
         bundle = build_bundle(exact, mesh, 2)

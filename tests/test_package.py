@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import layerfem
 from layerfem import femcore, interpolants, mesh, norms, problem, study
 
@@ -12,3 +15,34 @@ def test_package_exports_every_submodule_export():
     for name in layerfem.__all__:
         assert hasattr(layerfem, name), f"layerfem.__all__ names missing {name!r}"
     assert len(set(layerfem.__all__)) == len(layerfem.__all__)
+
+
+# Public names that only tests use, each with the reason it stays public.
+TEST_ONLY_API = {
+    "fitted_rate": "the acceptance suite's rate fit over a sequence of uniform errors",
+}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a file reads or takes as attributes: definitions, imports, strings
+    (so ``__all__`` entries and docstrings) and comments are not uses."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "layerfem").glob("*.py")) + [
+        path for path in sorted((root / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    used = set().union(*(_names_used(path) for path in sources))
+    unused = sorted(set(layerfem.__all__) - used - set(TEST_ONLY_API))
+    assert unused == [], f"public names only tests use: {unused}"
+    # An allowlisted name that gains a use (or stops being public) leaves the list.
+    assert set(TEST_ONLY_API) <= set(layerfem.__all__) - used

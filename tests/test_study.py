@@ -6,12 +6,18 @@ from numpy.polynomial import Polynomial
 
 from layerfem import (
     ConvergenceRecord,
+    MeshSpec,
     StudyConfig,
     TwoPointBVP,
     emit,
+    error_norms,
     fitted_rate,
     format_error,
+    galerkin_solve,
+    generate,
+    get_problem,
     run_study,
+    solve_point,
 )
 from layerfem import study
 from layerfem.problem import _PROBLEMS
@@ -133,9 +139,7 @@ class TestRunStudy:
                     u=lambda x: p(arr(x)),
                     u_and_prime=lambda x: (p(arr(x)), dp(arr(x))),
                     S=lambda x: p(arr(x)),
-                    S_prime=lambda x: dp(arr(x)),
                     E=lambda x: np.zeros_like(arr(x)),
-                    E_prime=lambda x: np.zeros_like(arr(x)),
                 ),
             )
 
@@ -148,6 +152,44 @@ class TestRunStudy:
         assert all(row.rate is None for row in result.aggregates)
         table = emit(result.records, "table")
         assert "—" in table
+
+
+class TestSolvePoint:
+    @pytest.mark.parametrize(
+        "family,k,eps",
+        [(family, k, 1e-8) for family in ("roos", "kopteva") for k in (1, 2, 3, 4)]
+        + [("roos", 2, 0.1)],   # eps > 1/N: the uniform fallback
+    )
+    def test_matches_the_chain_it_runs_bit_for_bit(self, family, k, eps):
+        sigma, c1 = defaults_for(k)
+        spec = MeshSpec(family=family, N=16, sigma=sigma, epsilon=eps, c1=c1)
+        fem, tri = solve_point("layer-test", spec, k)
+
+        bvp = get_problem("layer-test", eps)
+        ref = galerkin_solve(bvp, generate(spec), k)
+        ref_tri = error_norms(ref, bvp.exact.u_and_prime, eps)
+        assert fem.mesh.spec == ref.mesh.spec
+        assert (fem.mesh.spec.family.value == "uniform") == (eps > 1 / 16)
+        assert fem.coefficients.tobytes() == ref.coefficients.tobytes()
+        hexes = lambda t: [t.e_inf.hex(), t.e_l2.hex(), t.e_energy.hex()]
+        assert hexes(tri) == hexes(ref_tri)
+
+    def test_record_carries_the_point_errors(self):
+        config = small_config(N_list=(16,), epsilons=(1e-8,))
+        rec = run_study(config).records[0]
+        spec = MeshSpec(family="roos", N=16, sigma=2.0, epsilon=1e-8, c1=2.5)
+        _, tri = solve_point("layer-test", spec, 1)
+        assert (rec.e_inf, rec.e_l2, rec.e_energy) == (tri.e_inf, tri.e_l2, tri.e_energy)
+
+    def test_problem_without_exact_solution_raises(self, no_exact_problem):
+        spec = MeshSpec(family="roos", N=8, sigma=2.0, epsilon=1e-6)
+        with pytest.raises(ValueError, match="exact"):
+            solve_point(no_exact_problem, spec, 1)
+
+    def test_study_records_a_problem_without_exact_solution(self, no_exact_problem):
+        result = run_study(small_config(problem=no_exact_problem))
+        assert len(result.records) == 4
+        assert all("exact" in r.error and math.isnan(r.e_energy) for r in result.records)
 
 
 class TestEmit:
