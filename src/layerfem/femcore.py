@@ -174,8 +174,6 @@ class PiecewisePolynomial:
             out /= h
         return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
-    __call__ = evaluate
-
 
 @dataclass(frozen=True, eq=False)
 class ElementSystem:
@@ -259,17 +257,17 @@ def _weighted(fn, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(fn(x), weights, out=np.empty(x.shape))
 
 
-def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | None = None) -> ElementSystem:
+def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> ElementSystem:
     """Assemble the element matrices and loads of the discrete convection-diffusion system.
 
     Entry (i, j) of the global matrix is epsilon*(theta_j', theta_i')
     - (b theta_j', theta_i) + (c theta_j, theta_i); the right-hand side is
-    (f, theta_i).  Element integrals use ``quad_points`` Gauss-Legendre points
-    (default k + 2, exact for polynomial data of degree <= k + 3).
+    (f, theta_i).  Element integrals use k + 2 Gauss-Legendre points, exact
+    for polynomial data of degree <= k + 3.
     """
     k = degree
     _check_degree(k)
-    q = k + 2 if quad_points is None else quad_points
+    q = k + 2
     xi, w = gauss_legendre(q)
     stiff, conv, mass, shp = _element_tables(k, q)
     h = mesh.steps
@@ -423,12 +421,10 @@ def solve(system: ElementSystem) -> np.ndarray:
     return x[1:-1]
 
 
-def galerkin_solve(
-    bvp: "TwoPointBVP", mesh: Mesh1D, degree: int, quad_points: int | None = None
-) -> PiecewisePolynomial:
+def galerkin_solve(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> PiecewisePolynomial:
     """Assemble and solve the discrete problem; returns the solution with the
     homogeneous boundary values reinserted."""
-    system = assemble(bvp, mesh, degree, quad_points)
+    system = assemble(bvp, mesh, degree)
     coeff = np.zeros(degree * mesh.N + 1)
     coeff[1:-1] = solve(system)
     return PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=coeff)

@@ -62,10 +62,12 @@ class MeshSpec:
     c_eps : float
         Breakpoint constant of the ORIGINAL map (same role as c1).
 
-    When the graded map is used (epsilon <= 1/N) its layer part must end
-    inside the domain: roos needs sigma*eps*ln(1/eps) < 1, kopteva and
-    original need sigma*eps*ln(1/(2*c*eps)) < 1 with c = c1 or c_eps.  A
-    violated condition raises a ValueError that names it.
+    N, sigma, epsilon, c1 and c_eps are checked for every family; the graded
+    map's own conditions only where :func:`generate` uses it (epsilon <= 1/N):
+    kopteva and original need the breakpoint t = 1/2 - c*eps in (0, 1/2) with
+    c = c1 or c_eps, and the layer part must end inside the domain (roos:
+    sigma*eps*ln(1/eps) < 1; kopteva, original: sigma*eps*ln(1/(2*c*eps)) < 1).
+    A violated condition raises a ValueError that names it.
     """
 
     family: MeshFamily
@@ -87,14 +89,10 @@ class MeshSpec:
             raise ValueError(f"c1 must be positive, got {self.c1}")
         if self.c_eps <= 0.0:
             raise ValueError(f"c_eps must be positive, got {self.c_eps}")
-        if self.family is MeshFamily.KOPTEVA:
-            if self.c1 is None:
-                raise ValueError("family 'kopteva' requires the breakpoint constant c1")
-            self._check_breakpoint(self.c1)
-        elif self.family is MeshFamily.ORIGINAL:
-            self._check_breakpoint(self.c_eps)
+        if self.family is MeshFamily.KOPTEVA and self.c1 is None:
+            raise ValueError("family 'kopteva' requires the breakpoint constant c1")
         if self.graded:
-            self._check_layer_width()
+            self._check_graded_map()
 
     @property
     def graded(self) -> bool:
@@ -102,15 +100,7 @@ class MeshSpec:
         layer needs no special resolution and the mesh is uniform."""
         return self.family is not MeshFamily.UNIFORM and self.epsilon <= 1.0 / self.N
 
-    def _check_breakpoint(self, const: float) -> None:
-        theta = 0.5 - const * self.epsilon
-        if not 0.0 < theta < 0.5:
-            raise ValueError(
-                f"breakpoint t = 1/2 - {const}*{self.epsilon} = {theta} "
-                "must lie in (0, 1/2)"
-            )
-
-    def _check_layer_width(self) -> None:
+    def _check_graded_map(self) -> None:
         # The graded part ends at x = width; past x = 1 the uniform part
         # would run backwards.
         eps = self.epsilon
@@ -121,6 +111,11 @@ class MeshSpec:
             condition = "sigma*eps*ln(1/eps) < 1"
         else:
             const = self.c1 if self.family is MeshFamily.KOPTEVA else self.c_eps
+            theta = 0.5 - const * eps
+            if not 0.0 < theta < 0.5:
+                raise ValueError(
+                    f"breakpoint t = 1/2 - {const}*{eps} = {theta} must lie in (0, 1/2)"
+                )
             width = self.sigma * eps * math.log(1.0 / (2.0 * const * eps))
             condition = "sigma*eps*ln(1/(2*c*eps)) < 1"
         if not width < 1.0:
@@ -198,17 +193,13 @@ def generate(spec: MeshSpec) -> Mesh1D:
     N = spec.N
     t = np.arange(N + 1, dtype=float) / N
 
-    family = spec.family
-    if family is not MeshFamily.UNIFORM and not spec.graded:
-        family = MeshFamily.UNIFORM
-        spec = replace(spec, family=MeshFamily.UNIFORM)
-
-    if family is MeshFamily.UNIFORM:
+    if not spec.graded:
         nodes = t
-    elif family is MeshFamily.ROOS:
+        spec = replace(spec, family=MeshFamily.UNIFORM)
+    elif spec.family is MeshFamily.ROOS:
         nodes = _roos_map(t, spec.sigma, spec.epsilon)
     else:
-        const = spec.c1 if family is MeshFamily.KOPTEVA else spec.c_eps
+        const = spec.c1 if spec.family is MeshFamily.KOPTEVA else spec.c_eps
         if const > 1.0 / (spec.epsilon * N):
             warnings.warn(
                 f"breakpoint constant {const} exceeds 1/(epsilon*N) = "

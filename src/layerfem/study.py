@@ -10,13 +10,14 @@ table.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .femcore import PiecewisePolynomial, galerkin_solve
 from .interpolants import build_bundle
 from .mesh import MeshFamily, MeshSpec, generate
 from .norms import ErrorTriple, error_norms, polynomial_energy_norm
-from .problem import get_problem
+from .problem import _PROBLEMS, get_problem
 
 __all__ = [
     "StudyConfig",
@@ -56,7 +57,11 @@ class StudyConfig:
     """Sweep definition; None for sigma, c1 or N_list selects per-degree defaults.
 
     Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
-    for k <= 2 or 1024 for k >= 3.
+    for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
+    any point runs: degrees in 1..10, the problem name (:func:`get_problem`'s
+    message) and each point's family, N, sigma, epsilon and c1 (:class:`MeshSpec`'s
+    messages).  Only the graded map's own conditions are left to the points,
+    where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -68,20 +73,16 @@ class StudyConfig:
     problem: str = "layer-test"
 
     def __post_init__(self) -> None:
-        for name in self.families:
-            MeshFamily(name)
         for k in self.k_list:
             if not 1 <= k <= 10:
                 raise ValueError(f"degree must lie in 1..10, got {k}")
-        if self.N_list is not None:
-            for n in self.N_list:
-                if n < 4 or n % 2 != 0:
-                    raise ValueError(f"N values must be even and >= 4, got {n}")
-        for eps in self.epsilons:
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"epsilon values must lie in (0, 1), got {eps}")
         if not (self.families and self.k_list and self.epsilons):
             raise ValueError("families, k_list and epsilons must be nonempty")
+        if self.problem not in _PROBLEMS:
+            get_problem(self.problem, self.epsilons[0])
+        for family, k, sigma, c1, n_intervals, eps in self.points():
+            MeshFamily(family)
+            MeshSpec(MeshFamily.UNIFORM, n_intervals, sigma, eps, c1)
 
     def sigma_for(self, k: int) -> float:
         return defaults_for(k, self.sigma, self.c1)[0]
@@ -99,6 +100,15 @@ class StudyConfig:
             out.append(n)
             n *= 2
         return tuple(out)
+
+    def points(self) -> Iterator[tuple[str, int, float, float, int, float]]:
+        """The sweep's (family, k, sigma, c1, N, epsilon) points in run order."""
+        for family in self.families:
+            for k in self.k_list:
+                sigma, c1 = defaults_for(k, self.sigma, self.c1)
+                for n_intervals in self.n_list_for(k):
+                    for eps in self.epsilons:
+                        yield family, k, sigma, c1, n_intervals, eps
 
 
 @dataclass(frozen=True)
@@ -136,16 +146,7 @@ class StudyResult:
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full sweep; individual failures are recorded, not raised."""
-    records: list[ConvergenceRecord] = []
-    for family in config.families:
-        for k in config.k_list:
-            sigma = config.sigma_for(k)
-            c1 = config.c1_for(k)
-            for n_intervals in config.n_list_for(k):
-                for eps in config.epsilons:
-                    records.append(
-                        _single_run(config.problem, family, k, sigma, c1, n_intervals, eps)
-                    )
+    records = [_single_run(config.problem, *point) for point in config.points()]
     return StudyResult(records=records, aggregates=aggregate(records))
 
 

@@ -91,6 +91,15 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    def test_kopteva_above_the_graded_range_solves_on_the_uniform_mesh(self, capsys):
+        # eps = 0.1 > 1/N: the breakpoint 1/2 - 5*0.1 = 0 is never used.
+        outputs = []
+        for family in ("roos", "kopteva"):
+            assert main(["solve", "--mesh-type", family, "--k", "3", "--N", "16",
+                         "--epsilon", "0.1"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+
 
 class TestStudyCommand:
     def test_csv_deterministic(self, tmp_path, capsys):
@@ -110,6 +119,41 @@ class TestStudyCommand:
         out = capsys.readouterr().out
         assert "k = 1" in out
         assert "roos: e^N" in out
+
+    @pytest.mark.parametrize(
+        "flags,rule",
+        [
+            (["--problem", "nope"], "unknown problem 'nope'"),
+            (["--sigma", "0.5"], "sigma must be >= 1, got 0.5"),
+            (["--c1", "-1"], "c1 must be positive, got -1.0"),
+        ],
+    )
+    def test_invalid_sweep_fails_before_any_point_runs(self, flags, rule, monkeypatch, capsys):
+        ran = []
+
+        def solve_point(*args):
+            ran.append(args)
+            raise RuntimeError("a point ran")
+
+        monkeypatch.setattr("layerfem.study.solve_point", solve_point)
+        code = main(["study", "--mesh-type", "roos", "--k", "1", "--N", "8", "--N", "16",
+                     "--epsilon", "1e-6", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ran == []
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and rule in line
+
+    def test_graded_map_failure_stays_a_failed_run(self, capsys):
+        # theta = 1/2 - 6000*1e-4 < 0 at a graded point (eps <= 1/N).
+        code = main(["study", "--mesh-type", "kopteva", "--c1", "6000", "--k", "1",
+                     "--N", "8", "--epsilon", "1e-4"])
+        captured = capsys.readouterr()
+        assert code == 0
+        [line] = captured.err.splitlines()
+        assert line.startswith("run failed: family=kopteva k=1 N=8") and "breakpoint" in line
+        assert "ERR" in captured.out
 
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -667,7 +667,7 @@ class TestPiecewisePolynomial:
 
     def test_scalar_evaluation(self):
         poly, coords, coeff = self._example()
-        assert poly(float(coords[1])) == pytest.approx(float(coeff[1]), rel=1e-12)
+        assert poly.evaluate(float(coords[1])) == pytest.approx(float(coeff[1]), rel=1e-12)
 
     def test_derivative_matches_finite_differences(self):
         poly, _, _ = self._example()

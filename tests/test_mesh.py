@@ -55,6 +55,15 @@ class TestGenerate:
         assert mesh.spec.family is MeshFamily.UNIFORM
         np.testing.assert_array_equal(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("family", [MeshFamily.KOPTEVA, MeshFamily.ORIGINAL])
+    def test_breakpoint_is_not_checked_on_the_uniform_fallback(self, family):
+        # t = 1/2 - 5*0.1 = 0 lies outside (0, 1/2), but eps > 1/N, so the
+        # graded map that uses t never runs.
+        spec = MeshSpec(family=family, N=16, sigma=4.0, epsilon=0.1, c1=5.0, c_eps=5.0)
+        mesh = generate(spec)
+        assert mesh.spec.family is MeshFamily.UNIFORM
+        np.testing.assert_array_equal(mesh.nodes, np.arange(17) / 16)
+
     def test_uniform_family(self):
         mesh = generate(MeshSpec(family=MeshFamily.UNIFORM, N=4, sigma=2.0, epsilon=0.5))
         np.testing.assert_array_equal(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from layerfem import (
     ConvergenceRecord,
+    MeshFamily,
     MeshSpec,
     StudyConfig,
     TwoPointBVP,
@@ -65,6 +69,62 @@ class TestConfig:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             StudyConfig(families=("shishkin",))
+
+    @pytest.mark.parametrize("name,value", [("sigma", 0.5), ("c1", -1.0)])
+    def test_rejects_mesh_parameter_with_the_mesh_spec_message(self, name, value):
+        params = dict(family="roos", N=8, sigma=2.0, epsilon=1e-6, c1=2.5)
+        with pytest.raises(ValueError) as spec_error:
+            MeshSpec(**{**params, name: value})
+        with pytest.raises(ValueError) as config_error:
+            small_config(**{name: value})
+        assert str(config_error.value) == str(spec_error.value)
+        assert str(spec_error.value).startswith(name)
+
+    def test_rejects_unknown_problem_with_the_get_problem_message(self):
+        with pytest.raises(ValueError) as lookup_error:
+            get_problem("nope", 1e-6)
+        with pytest.raises(ValueError) as config_error:
+            small_config(problem="nope")
+        assert str(config_error.value) == str(lookup_error.value)
+
+    def test_known_problem_is_not_built_by_the_check(self, monkeypatch):
+        # perfbench counts one get_problem span per study op.
+        monkeypatch.setattr(study, "get_problem", lambda *args: pytest.fail("problem built"))
+        small_config()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from([f.value for f in MeshFamily]),
+        sigma=st.floats(0.5, 6.0),
+        c1=st.floats(-1.0, 60.0),
+        N=st.integers(1, 32).map(lambda n: 2 * n),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_only_graded_map_conditions_are_left_to_the_points(self, family, sigma, c1, N, eps):
+        try:
+            StudyConfig(families=(family,), sigma=sigma, c1=c1, N_list=(N,), epsilons=(eps,))
+        except ValueError as exc:
+            # The same rule rejects the point's uniform spec.
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                MeshSpec(MeshFamily.UNIFORM, N, sigma, eps, c1)
+            return
+        try:
+            MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=c1)
+        except ValueError as exc:
+            assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
+
+    def test_points_follow_the_run_order(self):
+        cfg = small_config(families=("roos", "kopteva"), k_list=(1, 2), sigma=3.0)
+        points = list(cfg.points())
+        assert points[:3] == [
+            ("roos", 1, 3.0, 2.5, 8, 1e-6),
+            ("roos", 1, 3.0, 2.5, 8, 1e-8),
+            ("roos", 1, 3.0, 2.5, 16, 1e-6),
+        ]
+        records = run_study(cfg).records
+        assert [(r.family, r.k, r.sigma, r.N, r.epsilon) for r in records] == [
+            (family, k, sigma, n, eps) for family, k, sigma, _, n, eps in points
+        ]
 
 
 class TestRunStudy:
