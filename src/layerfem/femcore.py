@@ -5,16 +5,16 @@ Degree-k Lagrange elements on equidistant element-internal nodes, assembly of
     a(u, v) = epsilon*(u', v') - (b u', v) + (c u, v),     rhs (f, v),
 
 by Gauss-Legendre quadrature, and its solution by static condensation onto
-the vertex values: batched LU of the element interior blocks, then a pivoted
-tridiagonal elimination, both on strided views of the element arrays.
+the vertex values: batched LU of the element interior blocks on strided views
+of the element arrays, then LAPACK's pivoted tridiagonal dgttrf and dgttrs.
 Global unknowns are node-ordered left to right.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -56,6 +56,22 @@ class SingularMatrixError(RuntimeError):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.element = element
+
+
+def _lapack(name: str, n_args: int):
+    """LAPACK's ILP64 routine ``name`` from the OpenBLAS that numpy's wheel
+    bundles, taking every argument (a character's hidden length too) as a c_void_p."""
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    symbols = (f"scipy_{name}_64_", f"{name}_64_")
+    for symbol in symbols:
+        routine = getattr(library, symbol, None)
+        if routine is not None:
+            routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+            return routine
+    raise ImportError(f"numpy's LAPACK exports neither {' nor '.join(symbols)}")
+
+
+_DGTTRF, _DGTTRS = _lapack("dgttrf", 7), _lapack("dgttrs", 12)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -285,67 +301,45 @@ def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> ElementSystem:
 
 
 class TridiagonalLU:
-    """LU factorization with partial pivoting of a tridiagonal matrix.
+    """LU factorization with partial pivoting of a tridiagonal matrix by
+    LAPACK's dgttrf, solved by its dgttrs.
 
-    ``dl``, ``d`` and ``du`` are the sub-, main and superdiagonal.  Row i is
-    interchanged with row i + 1 when |dl[i]| exceeds the pivot candidate, as
-    LAPACK's dgttrf does, so U gains a second superdiagonal.  The elimination
-    runs over Python floats, with the pivot row in locals.  Raises
+    ``dl``, ``d`` and ``du`` are the sub-, main and superdiagonal; they are
+    not modified.  Rows i and i + 1 swap when |dl[i]| exceeds the pivot
+    candidate, so U gains a second superdiagonal.  Raises
     :class:`SingularMatrixError` with the elimination step of the first zero
-    or non-finite pivot.  The inputs are not modified.
+    or non-finite pivot: dgttrf flags only exact zeros and carries on, so the
+    factors are checked after it (a non-finite candidate in a swapped row
+    shows only as a non-finite multiplier).  ``solve`` works in the
+    factorization's buffer; an instance is not for concurrent use.
     """
 
     def __init__(self, dl, d, du):
-        d = np.asarray(d, dtype=float).tolist()
-        dl = np.asarray(dl, dtype=float).tolist()
-        du = np.asarray(du, dtype=float).tolist() + [0.0]   # du[i + 1] exists at the last step
-        n = len(d)
-        if n < 1 or len(dl) != n - 1 or len(du) != n:
+        n = np.size(d)
+        if np.ndim(d) != 1 or n < 1 or np.shape(dl) != (n - 1,) or np.shape(du) != (n - 1,):
             raise ValueError("need n >= 1 diagonal and n - 1 off-diagonal entries")
-        du2, swap = [0.0] * n, [False] * n
-        p, u = d[0], du[0]   # diagonal and superdiagonal of the pivot row
-        for i in range(n - 1):
-            s = dl[i]
-            if abs(p) >= abs(s):
-                if not 0.0 < abs(p) < math.inf:
-                    raise SingularMatrixError(i)
-                dl[i] = f = s / p
-                d[i], du[i] = p, u
-                p, u = d[i + 1] - f * u, du[i + 1]
-            else:
-                # Also taken when p or s is NaN, which the check rejects.
-                if not (0.0 < abs(s) < math.inf and abs(p) < math.inf):
-                    raise SingularMatrixError(i)
-                dl[i] = f = p / s
-                t, r = d[i + 1], du[i + 1]
-                d[i], du[i] = s, t
-                du2[i], swap[i] = r, True
-                p, u = u - f * t, -f * r
-        if not 0.0 < abs(p) < math.inf:
-            raise SingularMatrixError(n - 1)
-        d[n - 1], du[n - 1] = p, u
-        self._factors = (dl, d, du, du2, swap)
+        # Slots of n: dl, d, du, du2, the right-hand side, the row interchanges;
+        # then n, nrhs = 1 and info (integers int64).  self._rhs keeps buf alive.
+        buf = np.zeros(6 * n + 3)
+        buf[: n - 1], buf[n : 2 * n], buf[2 * n : 3 * n - 1] = dl, d, du
+        buf[6 * n :].view(np.int64)[:2] = n, 1
+        base = buf.ctypes.data
+        dl_, d_, du_, du2_, rhs_, ipiv_, n_ = (base + 8 * n * j for j in range(7))
+        _DGTTRF(n_, dl_, d_, du_, du2_, ipiv_, n_ + 16)
+        multipliers, pivots = buf[: 2 * n].reshape(2, n)   # multipliers[n - 1] stays 0
+        bad = ~(np.isfinite(multipliers) & np.isfinite(pivots) & (pivots != 0))
+        if bad.any():
+            raise SingularMatrixError(int(bad.argmax()))
+        self._rhs = buf[4 * n : 5 * n]
+        self._solve_args = (b"N", n_, n_ + 8, dl_, d_, du_, du2_, ipiv_, rhs_, n_, n_ + 16, 1)
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b with the stored factors."""
-        dl, d, du, du2, swap = self._factors
-        n = len(d)
-        x = np.asarray(b, dtype=float).tolist()
-        if len(x) != n:
-            raise ValueError(f"right-hand side must have {n} entries")
-        cur = x[0]  # x[i] during the forward sweep; x1, x2 hold x[i + 1], x[i + 2] after it
-        for i in range(n - 1):
-            nxt = x[i + 1]
-            if swap[i]:
-                x[i], cur = nxt, cur - dl[i] * nxt
-            else:
-                x[i], cur = cur, nxt - dl[i] * cur
-        x1 = x[n - 1] = cur / d[n - 1]
-        x2 = 0.0
-        for i in range(n - 2, -1, -1):
-            x1, x2 = (x[i] - du[i] * x1 - du2[i] * x2) / d[i], x1
-            x[i] = x1
-        return np.array(x)
+        if np.shape(b) != self._rhs.shape:
+            raise ValueError(f"right-hand side must have {self._rhs.size} entries")
+        self._rhs[:] = b
+        _DGTTRS(*self._solve_args)
+        return self._rhs.copy()
 
 
 class _Condensation:
@@ -398,15 +392,15 @@ def solve(system: ElementSystem) -> np.ndarray:
 
     The interior unknowns of each element are eliminated by a batched LU
     with partial pivoting of the interior blocks, the summed 2x2 Schur
-    complements form a tridiagonal vertex system solved by
-    :class:`TridiagonalLU`, and the interior values follow element by
-    element.  One step of iterative refinement against the element-wise
-    residual follows: when epsilon << h the interior blocks have diagonals
-    of size O(h), and recovering the interior values can magnify the error
-    of the vertex values by up to ~N.  Each condensed solve fills one array
-    of k*N + 1 coefficients through strided views.  k = 1 makes no LAPACK
-    call, k >= 2 three (w, y, y of the residual): y solved with w's two
-    columns would round differently (trsm multiplies by 1/pivot, trsv divides).
+    complements form a tridiagonal vertex system solved by LAPACK's dgttrf
+    and dgttrs (:class:`TridiagonalLU`), and the interior values follow.
+    One step of iterative refinement against the element-wise residual
+    follows: when epsilon << h the interior blocks have diagonals of size
+    O(h), and recovering the interior values can magnify the error of the
+    vertex values by up to ~N.  Each condensed solve fills one array of
+    k*N + 1 coefficients through strided views.  The interior blocks take
+    no LAPACK call for k = 1 and three for k >= 2 (w, y, y of the residual);
+    solving y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 
     Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the
     vertex system (with its elimination step) or a singular interior block

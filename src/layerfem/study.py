@@ -59,9 +59,9 @@ class StudyConfig:
     Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
     for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
     any point runs: degrees in 1..10, the problem name (:func:`get_problem`'s
-    message) and each point's family, N, sigma, epsilon and c1 (:class:`MeshSpec`'s
-    messages).  Only the graded map's own conditions are left to the points,
-    where a violation becomes a failed record.
+    message), each family, and each distinct (N, sigma, epsilon, c1) once in
+    sweep order (:class:`MeshSpec`'s messages).  Only the graded map's own
+    conditions are left to the points, where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -80,8 +80,9 @@ class StudyConfig:
             raise ValueError("families, k_list and epsilons must be nonempty")
         if self.problem not in _PROBLEMS:
             get_problem(self.problem, self.epsilons[0])
-        for family, k, sigma, c1, n_intervals, eps in self.points():
+        for family in self.families:
             MeshFamily(family)
+        for sigma, c1, n_intervals, eps in dict.fromkeys(p[2:] for p in self.points()):
             MeshSpec(MeshFamily.UNIFORM, n_intervals, sigma, eps, c1)
 
     def sigma_for(self, k: int) -> float:

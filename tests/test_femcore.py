@@ -28,6 +28,7 @@ from layerfem import (
     shape_tables,
     solve,
 )
+from layerfem import femcore
 from layerfem.femcore import TridiagonalLU
 
 ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.ORIGINAL, MeshFamily.UNIFORM]
@@ -329,6 +330,11 @@ class TestBandedSolve:
             ([0.0, 1.0], [1.0, np.nan, 1.0], [0.0, 0.0], 1),   # interchange
             ([np.nan, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], 0),   # NaN below the pivot
             ([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, np.nan], 2),   # reaches the last pivot
+            ([np.inf], [1.0, 1.0], [0.0], 0),   # inf below the pivot forces an interchange
+            ([0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0], 0),   # an exact zero dgttrf steps over
+            ([1.0], [1.0, 1.0], [np.inf], 1),   # inf in du reaches the next pivot
+            ([], [0.0], [], 0),   # n = 1
+            ([], [np.nan], [], 0),
         ],
     )
     def test_non_finite_pivot_reports_its_step(self, dl, d, du, step):
@@ -358,49 +364,49 @@ class TestBandedSolve:
         bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
         assert np.max(np.abs(dense @ x - b)) <= bound
 
-    def test_solve_matches_indexed_sweeps_bit_for_bit(self):
-        # The sweeps of LAPACK's dgttrs over the stored factors, indexing x
-        # directly; random systems with small diagonals pivot often.
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3, 17, 400):
-            dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
-            d, b = rng.normal(size=n) * 0.05, rng.normal(size=n)
-            lu = TridiagonalLU(dl, d, du)
-            fl, fd, fu, fu2, swap = lu._factors
-            x = b.tolist() + [0.0]
-            for i in range(n - 1):
-                if swap[i]:
-                    x[i], x[i + 1] = x[i + 1], x[i] - fl[i] * x[i + 1]
-                else:
-                    x[i + 1] -= fl[i] * x[i]
-            x[n - 1] /= fd[n - 1]
-            for i in range(n - 2, -1, -1):
-                x[i] = (x[i] - fu[i] * x[i + 1] - fu2[i] * x[i + 2]) / fd[i]
-            assert n < 17 or any(swap)
-            np.testing.assert_array_equal(lu.solve(b), x[:n])
+    def test_solve_matches_indexed_dgttrf_and_dgttrs_bit_for_bit(self):
+        # LAPACK's dgttrf written over the diagonals in place, index by index,
+        # then the sweeps of its dgttrs indexing x directly; small diagonals
+        # make rows swap.
+        for seed in (11, 12):
+            rng = np.random.default_rng(seed)
+            for n in (1, 2, 3, 17, 400):
+                dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+                d, b = rng.normal(size=n) * 0.05, rng.normal(size=n)
+                fl, fd, fu = dl.tolist(), d.tolist(), du.tolist() + [0.0]
+                fu2, swap = [0.0] * n, [False] * n
+                for i in range(n - 1):
+                    if abs(fd[i]) >= abs(fl[i]):
+                        f = fl[i] / fd[i]
+                        fd[i + 1] -= f * fu[i]
+                    else:
+                        f = fd[i] / fl[i]
+                        fd[i], fd[i + 1], fu[i] = fl[i], fu[i] - f * fd[i + 1], fd[i + 1]
+                        fu2[i], fu[i + 1] = fu[i + 1], -f * fu[i + 1]
+                        swap[i] = True
+                    fl[i] = f
+                x = b.tolist() + [0.0]
+                for i in range(n - 1):
+                    if swap[i]:
+                        x[i], x[i + 1] = x[i + 1], x[i] - fl[i] * x[i + 1]
+                    else:
+                        x[i + 1] -= fl[i] * x[i]
+                x[n - 1] /= fd[n - 1]
+                for i in range(n - 2, -1, -1):
+                    x[i] = (x[i] - fu[i] * x[i + 1] - fu2[i] * x[i + 2]) / fd[i]
+                assert n < 17 or any(swap)
+                np.testing.assert_array_equal(TridiagonalLU(dl, d, du).solve(b), x[:n])
 
-    def test_factors_match_indexed_dgttrf_bit_for_bit(self):
-        # LAPACK's dgttrf written over the diagonals in place, index by index;
-        # small diagonals make rows swap.
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 17, 400):
-            dl, du = rng.normal(size=n - 1).tolist(), rng.normal(size=n - 1).tolist() + [0.0]
-            d = (rng.normal(size=n) * 0.05).tolist()
-            lu = TridiagonalLU(np.array(dl), np.array(d), np.array(du[:-1]))
-            du2, swap = [0.0] * n, [False] * n
-            for i in range(n - 1):
-                if abs(d[i]) >= abs(dl[i]):
-                    f = dl[i] / d[i]
-                    d[i + 1] -= f * du[i]
-                else:
-                    f = d[i] / dl[i]
-                    d[i], d[i + 1], du[i] = dl[i], du[i] - f * d[i + 1], d[i + 1]
-                    du2[i], du[i + 1] = du[i + 1], -f * du[i + 1]
-                    swap[i] = True
-                dl[i] = f
-            assert n < 17 or any(swap)
-            for got, expected in zip(lu._factors, (dl, d, du, du2, swap)):
-                np.testing.assert_array_equal(np.array(got), np.array(expected))
+    def test_missing_lapack_routine_fails_the_import_naming_both_symbols(self):
+        # No fallback: without the routine the solver cannot be imported.
+        with pytest.raises(ImportError, match="scipy_nosuchroutine_64_ nor nosuchroutine_64_"):
+            femcore._lapack("nosuchroutine", 1)
+
+    def test_solutions_are_independent_of_later_solves(self):
+        lu = TridiagonalLU(*_tridiagonal(2.0 * np.eye(3)))
+        first = lu.solve(np.ones(3))
+        lu.solve(np.full(3, 4.0))
+        np.testing.assert_array_equal(first, np.full(3, 0.5))
 
     def test_rejects_right_hand_side_of_wrong_length(self):
         lu = TridiagonalLU(*_tridiagonal(np.eye(3)))
@@ -520,6 +526,7 @@ class TestCondensedSolve:
             assert np.array_equal(solve(noisy), _indexed_condensed_solve(noisy))
 
     def test_degree_one_makes_no_lapack_call(self, monkeypatch):
+        # No interior-block solve; the vertex system still goes to dgttrf/dgttrs.
         bvp = layer_test_problem(1e-6)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=64, sigma=2.0, epsilon=1e-6))
         system = assemble(bvp, mesh, 1)

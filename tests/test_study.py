@@ -92,6 +92,19 @@ class TestConfig:
         monkeypatch.setattr(study, "get_problem", lambda *args: pytest.fail("problem built"))
         small_config()
 
+    def test_each_distinct_mesh_point_is_checked_once_in_sweep_order(self, monkeypatch):
+        # The check spec is uniform, so both families share each of theirs.
+        built = []
+
+        def counting(*args):
+            built.append(args[1:])
+            return MeshSpec(*args)
+
+        monkeypatch.setattr(study, "MeshSpec", counting)
+        StudyConfig()
+        assert len(built) == len(set(built)) == 204
+        assert built[:2] == [(8, 2.0, 1e-4, 2.5), (8, 2.0, 1e-5, 2.5)]
+
     @settings(max_examples=100, deadline=None)
     @given(
         family=st.sampled_from([f.value for f in MeshFamily]),
