@@ -10,7 +10,7 @@ with at most k nonzero coefficients, supported on two elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,14 +35,20 @@ class InterpolantBundle:
 
     ``correction`` holds the layer values E at the k correction nodes (the
     left endpoint and interior nodes of element N/2 - 1) and zeros
-    elsewhere; ``corrected_interp = u_interp - correction`` coefficientwise,
-    so the corrected interpolant stays in the finite element space and
-    matches the plain interpolant away from the transition element.
+    elsewhere.  The corrected interpolant, built on each read, is
+    ``u_interp - correction`` coefficientwise (the paper's definition), so it
+    stays in the finite element space and matches the plain interpolant away
+    from the transition element.
     """
 
     u_interp: PiecewisePolynomial
     correction: PiecewisePolynomial
-    corrected_interp: PiecewisePolynomial
+
+    @property
+    def corrected_interp(self) -> PiecewisePolynomial:
+        """The layer-corrected interpolant ``u_interp - correction``."""
+        u_i = self.u_interp
+        return replace(u_i, coefficients=u_i.coefficients - self.correction.coefficients)
 
 
 def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> InterpolantBundle:
@@ -59,7 +65,4 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
     return InterpolantBundle(
         u_interp=u_i,
         correction=PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=corr),
-        corrected_interp=PiecewisePolynomial(
-            mesh=mesh, degree=degree, coefficients=u_i.coefficients - corr
-        ),
     )

@@ -76,8 +76,8 @@ class StudyConfig:
         for k in self.k_list:
             if not 1 <= k <= 10:
                 raise ValueError(f"degree must lie in 1..10, got {k}")
-        if not (self.families and self.k_list and self.epsilons):
-            raise ValueError("families, k_list and epsilons must be nonempty")
+        if not (self.families and self.k_list and self.epsilons and self.N_list != ()):
+            raise ValueError("families, k_list, N_list and epsilons must be nonempty")
         if self.problem not in _PROBLEMS:
             get_problem(self.problem, self.epsilons[0])
         for family in self.families:
@@ -142,13 +142,11 @@ class AggregateRow:
 @dataclass(frozen=True)
 class StudyResult:
     records: list[ConvergenceRecord] = field(default_factory=list)
-    aggregates: list[AggregateRow] = field(default_factory=list)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full sweep; individual failures are recorded, not raised."""
-    records = [_single_run(config.problem, *point) for point in config.points()]
-    return StudyResult(records=records, aggregates=aggregate(records))
+    return StudyResult(records=[_single_run(config.problem, *point) for point in config.points()])
 
 
 def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:

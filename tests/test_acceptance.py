@@ -27,6 +27,7 @@ from layerfem import (
     PiecewisePolynomial,
     StudyConfig,
     TwoPointBVP,
+    aggregate,
     assemble,
     check_step_sizes,
     error_norms,
@@ -101,7 +102,7 @@ def sweep():
 
 
 def _check_table(result, table, e_tol, relaxed):
-    aggregates = {(row.family, row.k, row.N): row for row in result.aggregates}
+    aggregates = {(row.family, row.k, row.N): row for row in aggregate(result.records)}
     failures = []
     for (family, k), rows in table.items():
         for n_intervals, e_ref, rate_ref in rows:
@@ -141,7 +142,7 @@ def test_criterion_2_high_degree_table(sweep):
 
 def test_criterion_3_energy_rate_window(sweep):
     result, _ = sweep
-    aggregates = {(row.family, row.k, row.N): row for row in result.aggregates}
+    aggregates = {(row.family, row.k, row.N): row for row in aggregate(result.records)}
     failures = []
     for family in ("roos", "kopteva"):
         for k in (1, 2, 3, 4):

@@ -144,7 +144,6 @@ class TestBundle:
     def test_zero_layer_part_gives_zero_correction(self):
         arr = lambda x: np.asarray(x, dtype=float)
         exact = ExactSolution(
-            u=lambda x: arr(x) * (1.0 - arr(x)),
             u_and_prime=lambda x: (arr(x) * (1.0 - arr(x)), 1.0 - 2.0 * arr(x)),
             S=lambda x: arr(x) * (1.0 - arr(x)),
             E=lambda x: np.zeros_like(arr(x)),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import layerfem
@@ -35,14 +36,39 @@ def _names_used(path: Path) -> set[str]:
     return used
 
 
-def test_every_public_name_is_used_outside_the_tests():
+def _used_outside_the_tests() -> set[str]:
+    """Names read in the package or in perfbench's non-test modules."""
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "src" / "layerfem").glob("*.py")) + [
         path for path in sorted((root / "perfbench").glob("*.py"))
         if not path.name.startswith("test_")
     ]
-    used = set().union(*(_names_used(path) for path in sources))
+    return set().union(*(_names_used(path) for path in sources))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = _used_outside_the_tests()
     unused = sorted(set(layerfem.__all__) - used - set(TEST_ONLY_API))
     assert unused == [], f"public names only tests use: {unused}"
     # An allowlisted name that gains a use (or stops being public) leaves the list.
     assert set(TEST_ONLY_API) <= set(layerfem.__all__) - used
+
+
+# Fields of exported dataclasses that nothing reads by name, each with the
+# reason it stays.
+UNREAD_FIELDS = {
+    "StepSizeChecks.midpoint_left_of_half": "verify's FAIL lines print it through the dataclass repr",
+}
+
+
+def test_every_exported_dataclass_field_is_read_outside_the_tests():
+    used = _used_outside_the_tests()
+    unread = set()
+    for name in layerfem.__all__:
+        obj = getattr(layerfem, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            unread |= {f"{name}.{f.name}" for f in dataclasses.fields(obj) if f.name not in used}
+    unlisted = sorted(unread - set(UNREAD_FIELDS))
+    assert unlisted == [], f"fields only tests read: {unlisted}"
+    # An allowlisted field that gains a reader (or goes away) leaves the list.
+    assert set(UNREAD_FIELDS) <= unread

@@ -149,7 +149,6 @@ class TestBVPValidation:
 
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
-            u=lambda x: np.asarray(x, dtype=float),
             u_and_prime=lambda x: (
                 np.asarray(x, dtype=float), np.ones_like(np.asarray(x, dtype=float))
             ),
@@ -159,18 +158,16 @@ class TestBVPValidation:
         with pytest.raises(ValueError, match="vanish"):
             bad.validate()
 
-    def test_exact_solution_validate_rejects_two_sources_of_u_that_differ(self):
+    def test_exact_solution_validate_rejects_a_split_that_drifts_from_u(self):
         arr = lambda x: np.asarray(x, dtype=float)
         bubble = lambda x: arr(x) * (1.0 - arr(x))
         slope = lambda x: 1.0 - 2.0 * arr(x)
-        zero = lambda x: np.zeros_like(arr(x))
         drifted = ExactSolution(
-            u=bubble,
-            u_and_prime=lambda x: (bubble(x) + 1e-9 * arr(x), slope(x)),
+            u_and_prime=lambda x: (bubble(x), slope(x)),
             S=bubble,
-            E=zero,
+            E=lambda x: 1e-9 * arr(x),
         )
-        with pytest.raises(ValueError, match="u and u_and_prime disagree"):
+        with pytest.raises(ValueError, match=r"u and S \+ E disagree by 1\.000e-09"):
             drifted.validate()
 
 

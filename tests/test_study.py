@@ -20,6 +20,7 @@ from layerfem import (
     galerkin_solve,
     generate,
     get_problem,
+    aggregate,
     run_study,
     solve_point,
 )
@@ -57,6 +58,10 @@ class TestConfig:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError, match="even"):
             StudyConfig(N_list=(7,))
+
+    def test_rejects_empty_n_list_naming_it(self):
+        with pytest.raises(ValueError, match="N_list"):
+            small_config(N_list=())
 
     def test_rejects_large_degree(self):
         with pytest.raises(ValueError, match="1..10"):
@@ -147,6 +152,11 @@ class TestRunStudy:
         second = emit(run_study(cfg).records, "csv")
         assert first == second
 
+    def test_makes_no_aggregate_call(self, monkeypatch):
+        # Records are the result; callers that want the reduction call aggregate.
+        monkeypatch.setattr(study, "aggregate", lambda records: pytest.fail("aggregated"))
+        assert len(run_study(small_config()).records) == 4
+
     def test_record_grid_complete(self):
         cfg = small_config()
         result = run_study(cfg)
@@ -156,13 +166,13 @@ class TestRunStudy:
 
     def test_aggregate_takes_max_over_epsilon(self):
         result = run_study(small_config())
-        by_n = {row.N: row for row in result.aggregates}
+        by_n = {row.N: row for row in aggregate(result.records)}
         recs = [r for r in result.records if r.N == 8]
         assert by_n[8].e_uniform == max(r.e_energy for r in recs)
 
     def test_rates_attach_to_smaller_n(self):
         result = run_study(small_config())
-        by_n = {row.N: row for row in result.aggregates}
+        by_n = {row.N: row for row in aggregate(result.records)}
         expected = math.log2(by_n[8].e_uniform / by_n[16].e_uniform)
         assert by_n[8].rate == pytest.approx(expected)
         assert by_n[16].rate is None
@@ -175,7 +185,7 @@ class TestRunStudy:
         rec = result.records[0]
         assert rec.error is not None
         assert math.isnan(rec.e_energy)
-        assert math.isnan(result.aggregates[0].e_uniform)
+        assert math.isnan(aggregate(result.records)[0].e_uniform)
         assert "ERR" in emit(result.records, "table")
 
     def test_epsilon_robustness_small_slice(self):
@@ -186,7 +196,7 @@ class TestRunStudy:
 
     def test_rate_recovery_small_slice(self):
         cfg = small_config(k_list=(2,), N_list=(64, 128, 256))
-        rows = run_study(cfg).aggregates
+        rows = aggregate(run_study(cfg).records)
         errors = [row.e_uniform for row in sorted(rows, key=lambda r: r.N)]
         assert fitted_rate(errors, pairs=2) == pytest.approx(2.0, abs=0.1)
 
@@ -209,7 +219,6 @@ class TestRunStudy:
                 f=lambda x: f_poly(arr(x)),
                 b_prime=lambda x: -np.ones_like(arr(x)),
                 exact=ExactSolution(
-                    u=lambda x: p(arr(x)),
                     u_and_prime=lambda x: (p(arr(x)), dp(arr(x))),
                     S=lambda x: p(arr(x)),
                     E=lambda x: np.zeros_like(arr(x)),
@@ -222,7 +231,7 @@ class TestRunStudy:
         )
         result = run_study(cfg)
         assert all(r.e_energy < 1e-12 for r in result.records)
-        assert all(row.rate is None for row in result.aggregates)
+        assert all(row.rate is None for row in aggregate(result.records))
         table = emit(result.records, "table")
         assert "—" in table
 
