@@ -13,7 +13,11 @@ in one call per chunk of at most _CHUNK_POINTS points, so a problem can share
 work such as an exponential between them.  The levels work in views of one
 buffer allocated per call, and the exact's temporaries stay chunk-sized: level
 arrays allocated and freed afresh let the C heap return their pages to the OS
-after each level, and the next level faulted every page in again.
+after each level, and the next level faulted every page in again.  A level's
+results form one (2, 2, n) array, [integral, round-off bound] x [value, slope]
+per element, so one test settles both and one product scales all four by h.
+Its `@ w` products run over exactly the rows of its elements: OpenBLAS's gemv
+blocks by rows, so another grouping of the same rows can move a sum by an ulp.
 The energy norm of a piecewise polynomial itself is exact from the reference
 stiffness and mass.
 """
@@ -62,10 +66,9 @@ def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...
     return _frozen(pts, wts, shape, slope, np.abs(shape), np.abs(slope))
 
 
-def _error_integrals(
-    u: np.ndarray, fem: np.ndarray, abs_fem: np.ndarray, scratch: np.ndarray, w: np.ndarray, h
-):
-    """Element integrals of (u - fem)^2, their round-off bounds and max |u - fem|.
+def _error_integrals(u, fem, abs_fem, scratch, w, out, peaks=None) -> None:
+    """(u - fem)^2 and its round-off bound integrated over the reference element
+    into ``out[0]`` and ``out[1]``, max |u - fem| appended to any ``peaks``.
 
     ``abs_fem`` is the sum of |c_a||phi_a| behind ``fem``, so |u| + abs_fem is
     the size of the values subtracted.  A difference of values of that size is
@@ -78,24 +81,24 @@ def _error_integrals(
     delta = np.add(scratch, abs_fem, out=abs_fem)
     delta *= _ROUNDOFF
     np.abs(diff, out=scratch)
-    peak = scratch.max()
+    if peaks is not None:
+        peaks.append(scratch.max())
     scratch *= 2.0
     scratch += delta
     scratch *= delta
-    noise = h * (scratch @ w)
+    np.matmul(scratch, w, out=out[1])
     diff *= diff
-    return h * (diff @ w), noise, peak
+    np.matmul(diff, w, out=out[0])
 
 
-def _settled(new, old, noise) -> np.ndarray:
-    return np.abs(new - old) <= _REL_TOL * np.maximum(np.abs(new), np.abs(old)) + noise
+def _settled(new, old) -> np.ndarray:
+    """Elements of two levels' results whose value and slope integrals (sums of
+    h*w*d^2, never negative) both settled."""
+    ok = np.abs(new[0] - old[0]) <= _REL_TOL * np.maximum(new[0], old[0]) + (new[1] + old[1])
+    return ok[0] & ok[1]
 
 
-def error_norms(
-    fem: PiecewisePolynomial,
-    exact: Callable,
-    epsilon: float,
-) -> ErrorTriple:
+def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> ErrorTriple:
     """Norms of exact - fem over the fem's mesh.
 
     ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for
@@ -103,63 +106,60 @@ def error_norms(
     and what it returns is only read.
     """
     mesh, degree = fem.mesh, fem.degree
-    h, left = mesh.steps, mesh.nodes[:-1]
-    coeff = fem.element_coefficients()
+    h, left, coeff = mesh.steps, mesh.nodes[:-1, None], fem.element_coefficients()
     abs_coeff = np.abs(coeff)
 
     # Largest |exact - fem| at the global nodes and then at each level's points.
-    peaks = [np.max(np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients))]
+    peaks = [np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients).max()]
     # Room for five arrays of the 8-panel level over all elements.
     work = np.empty(5 * mesh.N * (degree + 3) * 2 * _START_PANELS)
 
     def level(elems, panels):
-        # Integrals of the error squared and of its derivative squared on the
-        # elements ``elems``, each with its round-off bound.
+        # The (2, 2, n) results on ``elems``: an index array, or slice(None)
+        # for the whole mesh, whose arrays are then read without copies.
         nonlocal work
         pts, wts, shape, slope, abs_shape, abs_slope = _quadrature_table(degree, degree + 3, panels)
-        size = elems.size * pts.size
+        he = h[elems]
+        size = he.size * pts.size
         if work.size < 5 * size:
             work = np.empty(5 * size)
         # x becomes the integrals' scratch once u and u' are in.
-        x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, elems.size, pts.size)
-        he = h[elems]
-        np.multiply.outer(he, pts, out=x)
-        x += left[elems, None]
+        x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, he.size, pts.size)
+        hc = he[:, None]
+        np.multiply(hc, pts, out=x)
+        x += left[elems]
         rows = max(1, _CHUNK_POINTS // pts.size)
-        for start in range(0, elems.size, rows):
+        for start in range(0, he.size, rows):
             chunk = slice(start, start + rows)
             u[chunk], du[chunk] = exact(x[chunk])
-        c, abs_c, hc = coeff[elems], abs_coeff[elems], he[:, None]
-        value = _error_integrals(
-            u, np.matmul(c, shape, out=fem_v), np.matmul(abs_c, abs_shape, out=abs_v), x, wts, he
-        )
-        peaks.append(value[2])
+        c, abs_c = coeff[elems], abs_coeff[elems]
+        sq = np.empty((2, 2, he.size))
+        np.matmul(c, shape, out=fem_v)
+        np.matmul(abs_c, abs_shape, out=abs_v)
+        _error_integrals(u, fem_v, abs_v, x, wts, sq[:, 0], peaks)
         np.matmul(c, slope, out=fem_v)
         np.matmul(abs_c, abs_slope, out=abs_v)
         fem_v /= hc
         abs_v /= hc
-        return *value[:2], *_error_integrals(du, fem_v, abs_v, x, wts, he)[:2]
+        _error_integrals(du, fem_v, abs_v, x, wts, sq[:, 1])
+        sq *= he
+        return sq
 
-    active = np.arange(mesh.N)
-    val2, val_noise, der2, der_noise = level(active, _START_PANELS)
-    panels = 2 * _START_PANELS
+    # Every element takes part in the first comparison, whose 8-panel
+    # results replace the 4-panel ones.
+    sq = level(slice(None), _START_PANELS)
+    new = level(slice(None), 2 * _START_PANELS)
+    active, sq, panels = (~_settled(new, sq)).nonzero()[0], new, 4 * _START_PANELS
     while active.size and panels <= _MAX_PANELS:
-        new_v, noise_v, new_d, noise_d = level(active, panels)
-        settled = _settled(new_v, val2[active], noise_v + val_noise[active]) & _settled(
-            new_d, der2[active], noise_d + der_noise[active]
-        )
-        val2[active], val_noise[active] = new_v, noise_v
-        der2[active], der_noise[active] = new_d, noise_d
-        active = active[~settled]
-        panels *= 2
+        new = level(active, panels)
+        settled = _settled(new, sq.take(active, axis=2))
+        sq[..., active] = new
+        active, panels = active[~settled], 2 * panels
 
     # Fixed element order keeps the reductions deterministic.
-    val2, der2 = float(np.sum(val2)), float(np.sum(der2))
-    return ErrorTriple(
-        e_inf=float(np.max(peaks)),
-        e_l2=math.sqrt(val2),
-        e_energy=math.sqrt(epsilon * der2 + val2),
-    )
+    val2, der2 = sq[0].sum(axis=1).tolist()
+    e_energy = math.sqrt(epsilon * der2 + val2)
+    return ErrorTriple(e_inf=float(np.max(peaks)), e_l2=math.sqrt(val2), e_energy=e_energy)
 
 
 def polynomial_energy_norm(fem: PiecewisePolynomial, epsilon: float) -> float:

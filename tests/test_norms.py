@@ -22,7 +22,15 @@ from layerfem import (
     layer_test_problem,
     polynomial_energy_norm,
 )
-from layerfem.norms import _CHUNK_POINTS, _MAX_PANELS, _START_PANELS
+from layerfem.femcore import global_nodes
+from layerfem.norms import (
+    _CHUNK_POINTS,
+    _MAX_PANELS,
+    _REL_TOL,
+    _ROUNDOFF,
+    _START_PANELS,
+    _quadrature_table,
+)
 
 
 def pair(f, df):
@@ -228,6 +236,88 @@ class TestExactValuesAreOnlyRead:
         assert error_norms(fem, lambda x: (0.25, 0.0), eps) == fresh
 
 
+def _oracle_norms(fem, exact, epsilon):
+    """The level loop of error_norms written plainly: separate value and slope
+    passes on fancy-indexed copies, one exact call per level, |.| of the
+    integrals in the settle test.  Every `@ w` runs over the rows of the same
+    elements in the same order as in error_norms, so the two agree bit for bit.
+    """
+    mesh, k = fem.mesh, fem.degree
+    h, left, coeff = mesh.steps, mesh.nodes[:-1], fem.element_coefficients()
+    peaks = [np.max(np.abs(exact(global_nodes(mesh, k))[0] - fem.coefficients))]
+
+    def integrals(u, fem_values, abs_values, w, he):
+        diff = u - fem_values
+        delta = (np.abs(u) + abs_values) * _ROUNDOFF
+        noise = he * (((2.0 * np.abs(diff) + delta) * delta) @ w)
+        return he * ((diff * diff) @ w), noise, np.max(np.abs(diff))
+
+    def level(elems, panels):
+        pts, w, shape, slope, abs_shape, abs_slope = _quadrature_table(k, k + 3, panels)
+        he, c = h[elems], coeff[elems]
+        x = he[:, None] * pts + left[elems, None]
+        u, du = (np.broadcast_to(v, x.shape) for v in exact(x))
+        val2, val_noise, peak = integrals(u, c @ shape, np.abs(c) @ abs_shape, w, he)
+        peaks.append(peak)
+        slope_fem = (c @ slope) / he[:, None]
+        slope_abs = (np.abs(c) @ abs_slope) / he[:, None]
+        der2, der_noise = integrals(du, slope_fem, slope_abs, w, he)[:2]
+        return val2, val_noise, der2, der_noise
+
+    def settled(new, old, noise):
+        return np.abs(new - old) <= _REL_TOL * np.maximum(np.abs(new), np.abs(old)) + noise
+
+    active = np.arange(mesh.N)
+    val2, val_noise, der2, der_noise = level(active, _START_PANELS)
+    panels = 2 * _START_PANELS
+    while active.size and panels <= _MAX_PANELS:
+        new_v, noise_v, new_d, noise_d = level(active, panels)
+        done = settled(new_v, val2[active], noise_v + val_noise[active]) & settled(
+            new_d, der2[active], noise_d + der_noise[active]
+        )
+        val2[active], val_noise[active] = new_v, noise_v
+        der2[active], der_noise[active] = new_d, noise_d
+        active = active[~done]
+        panels *= 2
+    val2, der2 = float(np.sum(val2)), float(np.sum(der2))
+    return float(np.max(peaks)), math.sqrt(val2), math.sqrt(epsilon * der2 + val2)
+
+
+# Both families and every degree, plus roos, k = 2 at N = 64, eps = 1e-6
+# (all five levels run) and at N = 2048 (every level is evaluated in chunks).
+_ORACLE_CASES = [
+    (family, k, n, eps)
+    for family in ("roos", "kopteva")
+    for k in (1, 2, 3, 4)
+    for n, eps in ((16, 1e-9), (128, 1e-4))
+] + [("roos", 2, 64, 1e-6), ("roos", 2, 2048, 1e-8)]
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
+@pytest.mark.parametrize("family,k,n,eps", _ORACLE_CASES)
+def test_error_norms_match_the_plain_level_loop_bit_for_bit(family, k, n, eps, kind):
+    bvp = layer_test_problem(eps)
+    mesh = graded_mesh(family, k, n, eps)
+    fem = galerkin_solve(bvp, mesh, k) if kind == "galerkin" else lagrange_interp(bvp.exact.u, mesh, k)
+    tri = error_norms(fem, bvp.exact.u_and_prime, eps)
+    assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, bvp.exact.u_and_prime, eps)
+
+
+def test_error_norms_match_the_plain_level_loop_for_constants_and_deep_levels():
+    # A constant given as Python floats; and a sine that refines every
+    # element to the cap, so the level buffer grows.
+    fem, _, eps = _galerkin_case()
+    constant = lambda x: (0.25, 0.0)
+    tri = error_norms(fem, constant, eps)
+    assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, constant, eps)
+    omega = 400.0 * math.pi
+    u = lambda x: np.sin(omega * np.asarray(x, dtype=float))
+    du = lambda x: omega * np.cos(omega * np.asarray(x, dtype=float))
+    fem = lagrange_interp(u, uniform_mesh(16), 2)
+    tri = error_norms(fem, pair(u, du), 1e-3)
+    assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, pair(u, du), 1e-3)
+
+
 def test_one_exact_call_per_level():
     # At roos, k = 2, N = 64, eps = 1e-6 some elements refine to the 64-panel
     # cap, so all five levels run.  u and u' are evaluated in one call per
@@ -370,6 +460,31 @@ class TestQuadratureTermination:
         error_norms(fem, exact, eps)
         capped = rows[(k + 3) * _MAX_PANELS]
         assert capped < 0.01 * n
+
+    @pytest.mark.parametrize("family", ["roos", "kopteva"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_only_the_transition_element_reaches_the_cap(self, family, k):
+        # Element N/2 - 1, where the layer dies out (h/eps of 5 to 100),
+        # is the one element that refines to 64 panels; on the full study
+        # grid the only others are 4 last elements at N = 2048.  At N = 16,
+        # eps = 1e-9 it reaches the cap for every family, degree and kind.
+        for n in (16, 256):
+            for eps in (1e-4, 1e-9):
+                bvp = layer_test_problem(eps)
+                mesh = graded_mesh(family, k, n, eps)
+                for fem in (galerkin_solve(bvp, mesh, k), lagrange_interp(bvp.exact.u, mesh, k)):
+                    firsts = []
+
+                    def counted(x):
+                        if np.ndim(x) == 2 and x.shape[1] == (k + 3) * _MAX_PANELS:
+                            firsts.extend(x[:, 0])
+                        return bvp.exact.u_and_prime(x)
+
+                    error_norms(fem, counted, eps)
+                    capped = set((np.searchsorted(mesh.nodes, firsts) - 1).tolist())
+                    assert capped <= {n // 2 - 1}
+                    if (n, eps) == (16, 1e-9):
+                        assert capped == {n // 2 - 1}
 
     @settings(max_examples=60, deadline=None)
     @given(
