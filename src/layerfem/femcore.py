@@ -168,39 +168,30 @@ class PiecewisePolynomial:
 
     def evaluate(self, x):
         """Evaluate at x (scalar or array)."""
-        return self._evaluate(x, derivative=False)
-
-    def derivative(self, x):
-        """Evaluate the first derivative at x (scalar or array)."""
-        return self._evaluate(x, derivative=True)
-
-    def _evaluate(self, x, derivative: bool):
         x_arr = np.asarray(x, dtype=float)
         xf = x_arr.ravel()
         elems = np.clip(
             np.searchsorted(self.mesh.nodes, xf, side="right") - 1, 0, self.mesh.N - 1
         )
-        h = self.mesh.steps[elems]
-        t = (xf - self.mesh.nodes[elems]) / h
-        table = (_shape_slopes if derivative else _shape_values)(self.degree, t)
+        t = (xf - self.mesh.nodes[elems]) / self.mesh.steps[elems]
         out = np.zeros_like(xf)
-        for a, row in enumerate(table):
+        for a, row in enumerate(_shape_values(self.degree, t)):
             out += self.coefficients[self.degree * elems + a] * row
-        if derivative:
-            out /= h
         return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class ElementSystem:
-    """The discrete system as element matrices and element loads.
+    """The discrete system as element matrices and element loads: what
+    :func:`assemble` hands to :func:`solve`.
 
     ``matrices[e]`` is the (k+1, k+1) matrix of element e and ``loads[e]`` its
     load vector, both in the element's local node order (left vertex,
     interior nodes, right vertex).  The global matrix is their sum over shared
-    vertices with the rows and columns of the two boundary nodes removed.
-    Both arrays are stored as read-only copies in which those rows, columns
-    and load entries are zero.
+    vertices with the rows and columns of the two boundary nodes removed; it
+    is never formed, and the system has no dense view of it.  Both arrays are
+    stored as read-only copies in which those rows, columns and load entries
+    are zero.
     """
 
     matrices: np.ndarray
@@ -222,29 +213,6 @@ class ElementSystem:
         _frozen(matrices, loads)
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "loads", loads)
-
-    @property
-    def dimension(self) -> int:
-        """Number of unknowns, k*N - 1."""
-        return self.degree * self.loads.shape[0] - 1
-
-    @property
-    def rhs(self) -> np.ndarray:
-        """The global right-hand side, boundary rows removed."""
-        k = self.degree
-        full = np.zeros(self.dimension + 2)
-        per_element = full[:-1].reshape(-1, k)
-        per_element += self.loads[:, :k]
-        full[k::k] += self.loads[:, k]
-        return full[1:-1]
-
-    def to_dense(self) -> np.ndarray:
-        """The global matrix as a dense array, boundary rows and columns removed."""
-        k = self.degree
-        full = np.zeros((self.dimension + 2, self.dimension + 2))
-        for e, block in enumerate(self.matrices):
-            full[k * e : k * e + k + 1, k * e : k * e + k + 1] += block
-        return full[1:-1, 1:-1]
 
 
 @functools.lru_cache(maxsize=32)

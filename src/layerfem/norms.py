@@ -103,7 +103,9 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
 
     ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for
     a constant; it runs once per level and chunk and once at the global nodes,
-    and what it returns is only read.
+    and what it returns is only read.  The round-off bounds take its values as
+    accurate to a few ulps of their own size: only then does a polynomial that
+    ``fem`` reproduces exactly settle at the first comparison.
     """
     mesh, degree = fem.mesh, fem.degree
     h, left, coeff = mesh.steps, mesh.nodes[:-1, None], fem.element_coefficients()

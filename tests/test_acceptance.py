@@ -39,6 +39,7 @@ from layerfem import (
     solve,
 )
 from layerfem.study import interpolation_study
+from oracles import dense_matrix, dense_rhs
 
 # Published uniform energy errors e^N and rates r^N per (N row).  A rate of
 # None marks the final row; an error of None marks the known-typo cell that
@@ -207,7 +208,7 @@ def test_criterion_7_oracle_suites():
     bvp = layer_test_problem(0.01)
     mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=3.0, epsilon=0.01))
     k = 2
-    dense = assemble(bvp, mesh, k).to_dense()
+    dense = dense_matrix(assemble(bvp, mesh, k))
     oracle = _dense_oracle(bvp, mesh, k, q=20)
     gap = np.max(np.abs(dense - oracle)) / np.max(np.abs(oracle))
     if gap > 1e-12:
@@ -222,7 +223,7 @@ def test_criterion_7_oracle_suites():
         nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_elem - 1)), [1.0]])
         system = assemble(bvp, Mesh1D(nodes=nodes, spec=spec), k_solve)
         x = solve(system)
-        x_ref = np.linalg.solve(system.to_dense(), system.rhs)
+        x_ref = np.linalg.solve(dense_matrix(system), dense_rhs(system))
         lu_gap = np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))
         if lu_gap > 1e-10:
             failures.append(f"condensed vs dense LU gap k={k_solve}: {lu_gap:.2e}")

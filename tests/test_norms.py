@@ -31,6 +31,7 @@ from layerfem.norms import (
     _START_PANELS,
     _quadrature_table,
 )
+from oracles import derivative
 
 
 def pair(f, df):
@@ -85,9 +86,9 @@ class TestErrorNorms:
         df = lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float))
         coarse = lagrange_interp(f, mesh, 1)
         fine = lagrange_interp(f, mesh, 3)
-        self_tri = error_norms(coarse, pair(coarse.evaluate, coarse.derivative), 0.1)
+        self_tri = error_norms(coarse, pair(coarse.evaluate, lambda x: derivative(coarse, x)), 0.1)
         assert self_tri.e_energy < 1e-14
-        gap = error_norms(coarse, pair(fine.evaluate, fine.derivative), 0.1)
+        gap = error_norms(coarse, pair(fine.evaluate, lambda x: derivative(fine, x)), 0.1)
         direct = error_norms(coarse, pair(f, df), 0.1)
         assert gap.e_energy == pytest.approx(direct.e_energy, rel=1e-3)
 
@@ -130,7 +131,7 @@ class TestErrorNorms:
         for e in range(mesh.N):
             x = mesh.nodes[e] + mesh.steps[e] * xi
             dv = bvp.exact.u(x) - fem.evaluate(x)
-            dd = bvp.exact.u_and_prime(x)[1] - fem.derivative(x)
+            dd = bvp.exact.u_and_prime(x)[1] - derivative(fem, x)
             val2 += mesh.steps[e] * float(np.sum(w * dv * dv))
             der2 += mesh.steps[e] * float(np.sum(w * dd * dd))
         oracle = math.sqrt(eps * der2 + val2)
@@ -156,7 +157,7 @@ class TestErrorNorms:
         val2 = der2 = 0.0
         for e in range(mesh.N):
             x = mesh.nodes[e] + mesh.steps[e] * xi
-            dv, dd = u(x) - fem.evaluate(x), du(x) - fem.derivative(x)
+            dv, dd = u(x) - fem.evaluate(x), du(x) - derivative(fem, x)
             val2 += mesh.steps[e] * float(np.sum(w * dv * dv))
             der2 += mesh.steps[e] * float(np.sum(w * dd * dd))
         assert tri.e_l2 == pytest.approx(math.sqrt(val2), rel=1e-12)
@@ -489,26 +490,66 @@ class TestQuadratureTermination:
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 4),
-        coeffs=st.lists(
-            st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=5, max_size=5
+        scale=st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+        roots=st.lists(
+            st.floats(-1.0, 2.0, allow_nan=False, allow_subnormal=False), max_size=4
         ),
         family=st.sampled_from([MeshFamily.UNIFORM, MeshFamily.ROOS, MeshFamily.KOPTEVA]),
         n=st.integers(2, 32).map(lambda m: 2 * m),
         log_eps=st.floats(-9.0, -3.0),
     )
     def test_polynomial_interpolant_settles_at_first_comparison(
-        self, k, coeffs, family, n, log_eps
+        self, k, scale, roots, family, n, log_eps
     ):
         # A polynomial of degree <= k is reproduced by its interpolant, so the
         # error is pure round-off and no element may refine past the first
-        # comparison (START -> 2*START panels).
+        # comparison (START -> 2*START panels).  The round-off bound assumes an
+        # exact accurate to a few ulps of its own size.  The product form
+        # scale*prod(x - r) is; Horner's rule on power-basis coefficients is
+        # not near a multiple root (see the test below).
+        roots = roots[:k]
         eps = 10.0**log_eps
-        p = Polynomial(coeffs[: k + 1])
+
+        def p(x):
+            x = np.asarray(x, dtype=float)
+            return scale * math.prod((x - r for r in roots), start=np.ones_like(x))
+
+        def dp(x):
+            x = np.asarray(x, dtype=float)
+            partial = (
+                math.prod((x - r for j, r in enumerate(roots) if j != i), start=np.ones_like(x))
+                for i in range(len(roots))
+            )
+            return scale * sum(partial, start=np.zeros_like(x))
+
         sigma, c1 = defaults_for(k)
         mesh = generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
-        exact, rows = counting(pair(p, p.deriv()))
+        exact, rows = counting(pair(p, dp))
         error_norms(lagrange_interp(p, mesh, k), exact, 1.0)
         assert rows[(k + 3) * 4 * _START_PANELS] == 0
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_horner_round_off_refines_the_last_element(self, n):
+        # 0.5(1 - x)^2 from power-basis coefficients: near the double root at
+        # x = 1 Horner's rule errs by ~2 ulps of 1 while the round-off bound
+        # there is ~0.1 ulp, so the last element goes on to 16 panels.  The
+        # result is still round-off.
+        k = 2
+        p = Polynomial([0.5, -1.0, 0.5])
+        dp = p.deriv()
+        mesh = uniform_mesh(n)
+        firsts = {}
+
+        def exact(x):
+            if np.ndim(x) == 2:
+                firsts.setdefault(x.shape[1] // (k + 3), []).extend(x[:, 0])
+            return p(x), dp(x)
+
+        tri = error_norms(lagrange_interp(p, mesh, k), exact, 1.0)
+        elements = np.searchsorted(mesh.nodes, firsts.get(4 * _START_PANELS, [])) - 1
+        assert elements.tolist() == [n - 1]
+        assert 8 * _START_PANELS not in firsts
+        assert tri.e_energy <= 1e-14
 
 
 # (family, k, N, eps) -> e_energy and e_l2 as computed with the quadrature

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import layerfem
@@ -24,39 +25,54 @@ TEST_ONLY_API = {
 }
 
 
-def _names_used(path: Path) -> set[str]:
-    """Names a file reads or takes as attributes: definitions, imports, strings
-    (so ``__all__`` entries and docstrings) and comments are not uses."""
-    used = set()
+def _names_used(path: Path) -> tuple[set[str], set[str]]:
+    """The top-level names and the class members a file uses.
+
+    A top-level name is used when read bare or as an attribute; a member only
+    as an attribute, so a local variable or parameter of the same name is not
+    a use.  Definitions, imports, strings (so ``__all__`` entries and
+    docstrings) and comments are not uses.
+    """
+    names, members = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
+            names.add(node.attr)
+            members.add(node.attr)
+    return names, members
 
 
-def _used_outside_the_tests() -> set[str]:
-    """Names read in the package or in perfbench's non-test modules."""
+def _used_outside_the_tests() -> tuple[set[str], set[str]]:
+    """:func:`_names_used` over the package and perfbench's non-test modules."""
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "src" / "layerfem").glob("*.py")) + [
         path for path in sorted((root / "perfbench").glob("*.py"))
         if not path.name.startswith("test_")
     ]
-    return set().union(*(_names_used(path) for path in sources))
+    names, members = zip(*(_names_used(path) for path in sources))
+    return set().union(*names), set().union(*members)
+
+
+def test_a_member_is_used_only_as_an_attribute(tmp_path):
+    source = tmp_path / "source.py"
+    source.write_text("def f(rhs):\n    return rhs\n\n\nobj.to_dense()\n")
+    names, members = _names_used(source)
+    assert {"rhs", "to_dense"} <= names
+    assert "rhs" not in members and "to_dense" in members
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    used = _used_outside_the_tests()
+    used, _ = _used_outside_the_tests()
     unused = sorted(set(layerfem.__all__) - used - set(TEST_ONLY_API))
     assert unused == [], f"public names only tests use: {unused}"
     # An allowlisted name that gains a use (or stops being public) leaves the list.
     assert set(TEST_ONLY_API) <= set(layerfem.__all__) - used
 
 
-# Fields and properties of exported dataclasses that nothing reads by name,
-# each with the reason it stays.
-UNREAD_FIELDS = {
+# Members of exported classes that nothing reads by name, each with the
+# reason it stays.
+UNREAD_MEMBERS = {
     "StepSizeChecks.midpoint_left_of_half": "verify's FAIL lines print it through the dataclass repr",
     "InterpolantBundle.corrected_interp": (
         "the paper's corrected interpolant; test_interpolants checks it"
@@ -64,19 +80,23 @@ UNREAD_FIELDS = {
 }
 
 
-def _fields_and_properties(cls: type) -> set[str]:
-    properties = {name for name, attr in vars(cls).items() if isinstance(attr, property)}
-    return {f.name for f in dataclasses.fields(cls)} | properties
+def _members(cls: type) -> set[str]:
+    """Dataclass fields and the public methods and properties a class defines."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return fields | {
+        name for name, attr in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(attr) or isinstance(attr, property))
+    }
 
 
-def test_every_exported_dataclass_field_is_read_outside_the_tests():
-    used = _used_outside_the_tests()
+def test_every_exported_class_member_is_read_outside_the_tests():
+    _, used = _used_outside_the_tests()
     unread = set()
     for name in layerfem.__all__:
         obj = getattr(layerfem, name)
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
-            unread |= {f"{name}.{attr}" for attr in _fields_and_properties(obj) - used}
-    unlisted = sorted(unread - set(UNREAD_FIELDS))
-    assert unlisted == [], f"fields only tests read: {unlisted}"
-    # An allowlisted field that gains a reader (or goes away) leaves the list.
-    assert set(UNREAD_FIELDS) <= unread
+        if isinstance(obj, type):
+            unread |= {f"{name}.{attr}" for attr in _members(obj) - used}
+    unlisted = sorted(unread - set(UNREAD_MEMBERS))
+    assert unlisted == [], f"members only tests read: {unlisted}"
+    # An allowlisted member that gains a reader (or goes away) leaves the list.
+    assert set(UNREAD_MEMBERS) <= unread
