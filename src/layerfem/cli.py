@@ -40,7 +40,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(
-        name: str, summary: str, *, many_meshes: bool = False, c_eps: bool = False, k_help: str | None = None
+        name: str, summary: str, *, many_meshes: bool = False, k_help: str | None = None
     ) -> argparse.ArgumentParser:
         """Add a command; only commands given a ``k_help`` take --k and --problem."""
         p = sub.add_parser(name, help=summary)
@@ -52,9 +52,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         )
         p.add_argument("--sigma", type=float, help="mesh grading exponent (default k+1)")
         p.add_argument("--c1", type=float, help="breakpoint constant (default 5(k+1)/4)")
-        if c_eps:
-            p.add_argument("--c-eps", type=float, default=MeshSpec.c_eps,
-                           help="breakpoint constant of the 'original' family (default %(default)s)")
         p.add_argument("--N", action="append", type=int, help="mesh intervals (repeatable)")
         p.add_argument("--epsilon", action="append", type=float, help="perturbation parameter (repeatable)")
         p.add_argument("--out", help="output file (default stdout)")
@@ -65,9 +62,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                            help="benchmark problem name (default %(default)s)")
         return p
 
-    add_command("mesh", "generate a mesh and emit it as CSV", c_eps=True)
-    p_solve = add_command("solve", "solve one configuration and emit sampled values",
-                          c_eps=True, k_help="polynomial degree")
+    add_command("mesh", "generate a mesh and emit it as CSV")
+    p_solve = add_command("solve", "solve one configuration and emit sampled values", k_help="polynomial degree")
     p_solve.add_argument("--samples", type=int, default=8, help="sample points per element (default %(default)s)")
     p_study = add_command("study", "run the convergence sweep",
                           many_meshes=True, k_help="polynomial degree (repeatable)")
@@ -133,7 +129,6 @@ def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> MeshSpec:
         family=_single(args.mesh_type, "mesh-type"),
         sigma=sigma,
         c1=c1,
-        c_eps=args.c_eps,
     )
 
 

@@ -1,9 +1,8 @@
 """Layer-adapted 1D meshes for problems with a boundary layer at x = 0.
 
 Two Bakhvalov-type generating functions are provided, both logarithmically
-graded inside the layer and uniform outside, plus the classical variant with
-a user-supplied breakpoint constant and a plain uniform mesh.  Nodes are
-x_i = map(i/N) for i = 0..N.
+graded inside the layer and uniform outside, plus a plain uniform mesh.
+Nodes are x_i = map(i/N) for i = 0..N.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class MeshFamily(str, Enum):
 
     ROOS = "roos"
     KOPTEVA = "kopteva"
-    ORIGINAL = "original"
     UNIFORM = "uniform"
 
 
@@ -59,14 +57,12 @@ class MeshSpec:
     c1 : float, optional
         Breakpoint constant of the KOPTEVA map; the breakpoint sits at
         t = 1/2 - c1*epsilon.  Required for KOPTEVA.
-    c_eps : float
-        Breakpoint constant of the ORIGINAL map (same role as c1).
 
-    N, sigma, epsilon, c1 and c_eps are checked for every family; the graded
-    map's own conditions only where :func:`generate` uses it (epsilon <= 1/N):
-    kopteva and original need the breakpoint t = 1/2 - c*eps in (0, 1/2) with
-    c = c1 or c_eps, and the layer part must end inside the domain (roos:
-    sigma*eps*ln(1/eps) < 1; kopteva, original: sigma*eps*ln(1/(2*c*eps)) < 1).
+    N, sigma, epsilon and c1 are checked for every family; the graded map's
+    own conditions only where :func:`generate` uses it (epsilon <= 1/N):
+    kopteva needs the breakpoint t = 1/2 - c1*eps in (0, 1/2), and the layer
+    part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1; kopteva:
+    sigma*eps*ln(1/(2*c1*eps)) < 1).
     A violated condition raises a ValueError that names it.
     """
 
@@ -75,7 +71,6 @@ class MeshSpec:
     sigma: float
     epsilon: float
     c1: float | None = None
-    c_eps: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", MeshFamily(self.family))
@@ -87,8 +82,6 @@ class MeshSpec:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.c1 is not None and self.c1 <= 0.0:
             raise ValueError(f"c1 must be positive, got {self.c1}")
-        if self.c_eps <= 0.0:
-            raise ValueError(f"c_eps must be positive, got {self.c_eps}")
         if self.family is MeshFamily.KOPTEVA and self.c1 is None:
             raise ValueError("family 'kopteva' requires the breakpoint constant c1")
         if self.graded:
@@ -110,13 +103,12 @@ class MeshSpec:
             width = self.sigma * eps * math.log(1.0 / eps)
             condition = "sigma*eps*ln(1/eps) < 1"
         else:
-            const = self.c1 if self.family is MeshFamily.KOPTEVA else self.c_eps
-            theta = 0.5 - const * eps
+            theta = 0.5 - self.c1 * eps
             if not 0.0 < theta < 0.5:
                 raise ValueError(
-                    f"breakpoint t = 1/2 - {const}*{eps} = {theta} must lie in (0, 1/2)"
+                    f"breakpoint t = 1/2 - {self.c1}*{eps} = {theta} must lie in (0, 1/2)"
                 )
-            width = self.sigma * eps * math.log(1.0 / (2.0 * const * eps))
+            width = self.sigma * eps * math.log(1.0 / (2.0 * self.c1 * eps))
             condition = "sigma*eps*ln(1/(2*c*eps)) < 1"
         if not width < 1.0:
             raise ValueError(
@@ -199,15 +191,14 @@ def generate(spec: MeshSpec) -> Mesh1D:
     elif spec.family is MeshFamily.ROOS:
         nodes = _roos_map(t, spec.sigma, spec.epsilon)
     else:
-        const = spec.c1 if spec.family is MeshFamily.KOPTEVA else spec.c_eps
-        if const > 1.0 / (spec.epsilon * N):
+        if spec.c1 > 1.0 / (spec.epsilon * N):
             warnings.warn(
-                f"breakpoint constant {const} exceeds 1/(epsilon*N) = "
+                f"breakpoint constant {spec.c1} exceeds 1/(epsilon*N) = "
                 f"{1.0 / (spec.epsilon * N):.6g}; step-size bounds may fail",
                 MeshAssumptionWarning,
                 stacklevel=2,
             )
-        nodes = _kopteva_map(t, spec.sigma, spec.epsilon, const)
+        nodes = _kopteva_map(t, spec.sigma, spec.epsilon, spec.c1)
 
     # Both endpoints are exact by construction; pin them against round-off.
     nodes[0] = 0.0

@@ -207,10 +207,22 @@ class TestStudyCommand:
         assert seen == []
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["study", "verify"])
-    def test_c_eps_is_rejected_where_it_is_not_honoured(self, command, capsys):
-        assert main([command, "--mesh-type", "original", "--k", "1", "--N", "16",
-                     "--epsilon", "1e-2", "--c-eps", "2"]) == 1
+    @pytest.mark.parametrize("command", ["mesh", "solve", "study", "verify"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--mesh-type", "kopteva", "--c-eps", "2"], "unrecognized arguments: --c-eps 2"),
+        (["--mesh-type", "original"], "argument --mesh-type: invalid choice: 'original'"),
+    ], ids=["c-eps", "original"])
+    def test_c_eps_and_original_are_rejected_by_every_command(self, command, flags, message, capsys):
+        assert main([command, *flags, "--N", "16", "--epsilon", "1e-2"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mesh", "solve", "study", "verify"])
+    def test_c_eps_config_key_is_rejected_by_every_command(self, command, tmp_path, capsys):
+        cfg = tmp_path / "mesh.cfg"
+        cfg.write_text("c-eps=2\n")
+        assert main([command, "--config", str(cfg), "--mesh-type", "kopteva",
+                     "--N", "16", "--epsilon", "1e-2"]) == 1
+        assert "unknown config key 'c-eps'" in capsys.readouterr().err
 
     def test_config_file_bad_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -32,7 +32,7 @@ from layerfem import femcore
 from layerfem.femcore import TridiagonalLU
 from oracles import dense_matrix, dense_rhs, derivative
 
-ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.ORIGINAL, MeshFamily.UNIFORM]
+ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.UNIFORM]
 
 
 def poly_coefficient_problem(epsilon, f_poly=None):
@@ -577,9 +577,7 @@ class TestGalerkinSolve:
             p, dp = Polynomial([0.0]), Polynomial([0.0])
         else:
             bvp, p, dp = manufactured_poly_problem(eps, k)
-        mesh = generate(
-            MeshSpec(family=family, N=16, sigma=2.0, epsilon=eps, c1=0.5, c_eps=0.5)
-        )
+        mesh = generate(MeshSpec(family=family, N=16, sigma=2.0, epsilon=eps, c1=0.5))
         fem = galerkin_solve(bvp, mesh, k)
         tri = error_norms(fem, lambda x: (p(x), dp(x)), eps)
         assert tri.e_energy < 1e-10

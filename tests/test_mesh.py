@@ -18,6 +18,8 @@ from layerfem import (
 EPSILONS = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
 N_VALUES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 SIGMAS = [2.0, 3.0, 4.0, 5.0]
+# Families whose graded map has a breakpoint t = 1/2 - c1*eps.
+BREAKPOINT_FAMILIES = [f for f in MeshFamily if f not in (MeshFamily.ROOS, MeshFamily.UNIFORM)]
 
 
 def roos_spec(N=8, sigma=2.0, eps=0.01):
@@ -55,11 +57,11 @@ class TestGenerate:
         assert mesh.spec.family is MeshFamily.UNIFORM
         np.testing.assert_array_equal(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("family", [MeshFamily.KOPTEVA, MeshFamily.ORIGINAL])
+    @pytest.mark.parametrize("family", BREAKPOINT_FAMILIES)
     def test_breakpoint_is_not_checked_on_the_uniform_fallback(self, family):
         # t = 1/2 - 5*0.1 = 0 lies outside (0, 1/2), but eps > 1/N, so the
         # graded map that uses t never runs.
-        spec = MeshSpec(family=family, N=16, sigma=4.0, epsilon=0.1, c1=5.0, c_eps=5.0)
+        spec = MeshSpec(family=family, N=16, sigma=4.0, epsilon=0.1, c1=5.0)
         mesh = generate(spec)
         assert mesh.spec.family is MeshFamily.UNIFORM
         np.testing.assert_array_equal(mesh.nodes, np.arange(17) / 16)
@@ -68,12 +70,15 @@ class TestGenerate:
         mesh = generate(MeshSpec(family=MeshFamily.UNIFORM, N=4, sigma=2.0, epsilon=0.5))
         np.testing.assert_array_equal(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_original_family_matches_kopteva_with_same_constant(self):
-        kop = generate(kopteva_spec(c1=1.0))
-        orig = generate(
-            MeshSpec(family=MeshFamily.ORIGINAL, N=8, sigma=2.0, epsilon=0.01, c_eps=1.0)
+    @pytest.mark.parametrize("family", BREAKPOINT_FAMILIES)
+    def test_c1_moves_the_nodes_of_every_family_with_a_breakpoint(self, family):
+        # A family whose graded map has a breakpoint must read it from c1:
+        # at a graded point two values of c1 give two different meshes.
+        first, second = (
+            generate(MeshSpec(family=family, N=16, sigma=2.0, epsilon=1e-6, c1=c1)).nodes
+            for c1 in (1.0, 3.0)
         )
-        np.testing.assert_array_equal(kop.nodes, orig.nodes)
+        assert not np.array_equal(first, second)
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError, match="even"):
@@ -92,9 +97,9 @@ class TestGenerate:
         # end past x = 1.
         with pytest.raises(ValueError, match=r"roos mesh needs sigma\*eps\*ln\(1/eps\) < 1"):
             MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.2)
-        for family in (MeshFamily.KOPTEVA, MeshFamily.ORIGINAL):
+        for family in (MeshFamily.KOPTEVA,):
             with pytest.raises(ValueError, match=r"sigma\*eps\*ln\(1/\(2\*c\*eps\)\) < 1"):
-                MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1, c_eps=0.1)
+                MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1)
         # Above eps = 1/N the mesh is uniform and the graded map never runs.
         assert generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.3)).spec.family is MeshFamily.UNIFORM
 
@@ -112,7 +117,7 @@ class TestGenerate:
     )
     def test_spec_is_rejected_by_name_or_nodes_increase(self, family, N, sigma, eps, const):
         try:
-            spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=const, c_eps=const)
+            spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=const)
         except ValueError as exc:
             assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
             return
