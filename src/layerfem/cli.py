@@ -50,10 +50,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             choices=_FAMILY_CHOICES,
             help="mesh family" + (" (repeatable)" if many_meshes else ""),
         )
-        p.add_argument("--sigma", type=float, help="mesh grading exponent (default k+1)")
-        p.add_argument("--c1", type=float, help="breakpoint constant (default 5(k+1)/4)")
-        p.add_argument("--N", action="append", type=int, help="mesh intervals (repeatable)")
-        p.add_argument("--epsilon", action="append", type=float, help="perturbation parameter (repeatable)")
+        # Without --k the mesh is built with the k = 1 defaults; mesh and solve
+        # build one mesh, so _single rejects a second --N or --epsilon.
+        sigma, c1 = ("k+1", "5(k+1)/4") if k_help else (f"{d:g}" for d in defaults_for(1))
+        each = " (repeatable)" if name in ("study", "verify") else ""
+        p.add_argument("--sigma", type=float, help=f"mesh grading exponent (default {sigma})")
+        p.add_argument("--c1", type=float, help=f"breakpoint constant (default {c1})")
+        p.add_argument("--N", action="append", type=int, help="mesh intervals" + each)
+        p.add_argument("--epsilon", action="append", type=float, help="perturbation parameter" + each)
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--config", help="key=value config file; flags override it")
         if k_help:

@@ -1,15 +1,17 @@
 """Layer-adapted 1D meshes for problems with a boundary layer at x = 0.
 
-Two Bakhvalov-type generating functions are provided, both logarithmically
-graded inside the layer and uniform outside, plus a plain uniform mesh.
-Nodes are x_i = map(i/N) for i = 0..N.
+Nodes are x_i = x(i/N) for i = 0..N.  The graded families share one
+Bakhvalov-type generating function: x(t) = -sigma*eps*ln(1 - a*t) up to a
+breakpoint theta, then linear to x(1) = 1.  They differ in (a, theta):
+roos takes a = 2(1 - eps), theta = 1/2; kopteva a = 2, theta = 1/2 - c1*eps.
+The uniform family is x(t) = t.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -85,7 +87,7 @@ class MeshSpec:
         if self.family is MeshFamily.KOPTEVA and self.c1 is None:
             raise ValueError("family 'kopteva' requires the breakpoint constant c1")
         if self.graded:
-            self._check_graded_map()
+            self._graded_map()
 
     @property
     def graded(self) -> bool:
@@ -93,36 +95,43 @@ class MeshSpec:
         layer needs no special resolution and the mesh is uniform."""
         return self.family is not MeshFamily.UNIFORM and self.epsilon <= 1.0 / self.N
 
-    def _check_graded_map(self) -> None:
-        # The graded part ends at x = width; past x = 1 the uniform part
-        # would run backwards.
+    def _graded_map(self) -> tuple[float, float, float]:
+        # (a, theta, x_theta) of the graded map; x_theta = x(theta), with
+        # rest = 1 - a*theta in closed form.  The checks run before the log,
+        # whose argument can underflow to 0 when one fails; past x = 1 the
+        # linear part would run backwards.
         eps = self.epsilon
         if self.family is MeshFamily.ROOS:
             if not 1.0 - eps < 1.0:
                 raise ValueError(f"roos mesh needs 1 - eps < 1 in floating point, got eps = {eps}")
-            width = self.sigma * eps * math.log(1.0 / eps)
+            a, theta, rest = 2.0 * (1.0 - eps), 0.5, eps
             condition = "sigma*eps*ln(1/eps) < 1"
         else:
-            theta = 0.5 - self.c1 * eps
+            c1_eps = self.c1 * eps
+            theta = 0.5 - c1_eps
             if not 0.0 < theta < 0.5:
                 raise ValueError(
                     f"breakpoint t = 1/2 - {self.c1}*{eps} = {theta} must lie in (0, 1/2)"
                 )
-            width = self.sigma * eps * math.log(1.0 / (2.0 * self.c1 * eps))
-            condition = "sigma*eps*ln(1/(2*c*eps)) < 1"
-        if not width < 1.0:
+            a, rest = 2.0, 2.0 * c1_eps
+            condition = "sigma*eps*ln(1/(2*c1*eps)) < 1"
+        x_theta = -self.sigma * eps * math.log(rest)
+        if not x_theta < 1.0:
             raise ValueError(
-                f"{self.family.value} mesh needs {condition}, got {width:.6g} "
+                f"{self.family.value} mesh needs {condition}, got {x_theta:.6g} "
                 f"(sigma = {self.sigma}, eps = {eps})"
             )
+        return a, theta, x_theta
 
 
 @dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """An ordered node sequence x_0 = 0 < x_1 < ... < x_N = 1 with its spec."""
+    """Nodes x_0 = 0 < x_1 < ... < x_N = 1, their spec, and the read-only
+    steps h_i = x_{i+1} - x_i."""
 
     nodes: np.ndarray
     spec: MeshSpec
+    steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -136,41 +145,12 @@ class Mesh1D:
         nodes.setflags(write=False)
         steps.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def N(self) -> int:
         """Number of mesh intervals."""
         return self.nodes.size - 1
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Interval lengths h_i = x_{i+1} - x_i, read-only."""
-        return self._steps
-
-
-def _roos_map(t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:
-    # Log-graded up to t = 1/2, then uniform; d makes the two branches meet
-    # at the breakpoint: 1 - d/2 = -sigma*eps*log(eps).
-    d = 2.0 * (1.0 + sigma * epsilon * math.log(epsilon))
-    x = np.empty_like(t)
-    fine = t <= 0.5
-    x[fine] = -sigma * epsilon * np.log(1.0 - 2.0 * (1.0 - epsilon) * t[fine])
-    x[~fine] = 1.0 - d * (1.0 - t[~fine])
-    return x
-
-
-def _kopteva_map(t: np.ndarray, sigma: float, epsilon: float, const: float) -> np.ndarray:
-    # Log-graded up to theta = 1/2 - const*eps; the slope of the uniform part
-    # follows from continuity at theta.
-    theta = 0.5 - const * epsilon
-    x_theta = -sigma * epsilon * math.log(2.0 * const * epsilon)
-    d1 = (1.0 - x_theta) / (1.0 - theta)
-    x = np.empty_like(t)
-    fine = t <= theta
-    x[fine] = -sigma * epsilon * np.log(1.0 - 2.0 * t[fine])
-    x[~fine] = 1.0 - d1 * (1.0 - t[~fine])
-    return x
 
 
 def generate(spec: MeshSpec) -> Mesh1D:
@@ -188,17 +168,19 @@ def generate(spec: MeshSpec) -> Mesh1D:
     if not spec.graded:
         nodes = t
         spec = replace(spec, family=MeshFamily.UNIFORM)
-    elif spec.family is MeshFamily.ROOS:
-        nodes = _roos_map(t, spec.sigma, spec.epsilon)
     else:
-        if spec.c1 > 1.0 / (spec.epsilon * N):
+        if spec.family is MeshFamily.KOPTEVA and spec.c1 > 1.0 / (spec.epsilon * N):
             warnings.warn(
                 f"breakpoint constant {spec.c1} exceeds 1/(epsilon*N) = "
                 f"{1.0 / (spec.epsilon * N):.6g}; step-size bounds may fail",
                 MeshAssumptionWarning,
                 stacklevel=2,
             )
-        nodes = _kopteva_map(t, spec.sigma, spec.epsilon, spec.c1)
+        a, theta, x_theta = spec._graded_map()
+        nodes = np.empty_like(t)
+        fine = t <= theta
+        nodes[fine] = -spec.sigma * spec.epsilon * np.log(1.0 - a * t[fine])
+        nodes[~fine] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[~fine])
 
     # Both endpoints are exact by construction; pin them against round-off.
     nodes[0] = 0.0

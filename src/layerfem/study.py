@@ -29,7 +29,6 @@ __all__ = [
     "aggregate",
     "emit",
     "format_error",
-    "fitted_rate",
     "interpolation_study",
     "DEFAULT_EPSILONS",
     "defaults_for",
@@ -276,19 +275,6 @@ def _emit_table(records: list[ConvergenceRecord]) -> str:
             lines.append(line)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-def fitted_rate(errors: list[float], pairs: int = 3) -> float:
-    """Mean of the last ``pairs`` consecutive log2 error ratios.
-
-    ``errors`` must be ordered by increasing N (each N doubling the last);
-    averaging the largest-N pairs damps preasymptotic noise.
-    """
-    if len(errors) < 2:
-        raise ValueError("need at least two errors to fit a rate")
-    ratios = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    tail = ratios[-pairs:]
-    return sum(tail) / len(tail)
 
 
 @dataclass(frozen=True)

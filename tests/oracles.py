@@ -1,5 +1,9 @@
-"""Reference views that only the tests read: the assembled system as a dense
-matrix and right-hand side, and the first derivative of a piecewise polynomial."""
+"""Reference code that only the tests read: the assembled system as a dense
+matrix and right-hand side, the first derivative of a piecewise polynomial,
+the two graded maps as written before they shared one generating function,
+and the rate fit over a sequence of errors."""
+
+import math
 
 import numpy as np
 
@@ -43,3 +47,40 @@ def derivative(poly: PiecewisePolynomial, x):
         out += poly.coefficients[k * elems + a] * row
     out /= h
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+
+def roos_map(t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:
+    # Log-graded up to t = 1/2, then uniform; d makes the two branches meet
+    # at the breakpoint: 1 - d/2 = -sigma*eps*log(eps).
+    d = 2.0 * (1.0 + sigma * epsilon * math.log(epsilon))
+    x = np.empty_like(t)
+    fine = t <= 0.5
+    x[fine] = -sigma * epsilon * np.log(1.0 - 2.0 * (1.0 - epsilon) * t[fine])
+    x[~fine] = 1.0 - d * (1.0 - t[~fine])
+    return x
+
+
+def kopteva_map(t: np.ndarray, sigma: float, epsilon: float, const: float) -> np.ndarray:
+    # Log-graded up to theta = 1/2 - const*eps; the slope of the uniform part
+    # follows from continuity at theta.
+    theta = 0.5 - const * epsilon
+    x_theta = -sigma * epsilon * math.log(2.0 * const * epsilon)
+    d1 = (1.0 - x_theta) / (1.0 - theta)
+    x = np.empty_like(t)
+    fine = t <= theta
+    x[fine] = -sigma * epsilon * np.log(1.0 - 2.0 * t[fine])
+    x[~fine] = 1.0 - d1 * (1.0 - t[~fine])
+    return x
+
+
+def fitted_rate(errors: list[float], pairs: int = 3) -> float:
+    """Mean of the last ``pairs`` consecutive log2 error ratios.
+
+    ``errors`` must be ordered by increasing N (each N doubling the last);
+    averaging the largest-N pairs damps preasymptotic noise.
+    """
+    if len(errors) < 2:
+        raise ValueError("need at least two errors to fit a rate")
+    ratios = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+    tail = ratios[-pairs:]
+    return sum(tail) / len(tail)

@@ -31,7 +31,6 @@ from layerfem import (
     assemble,
     check_step_sizes,
     error_norms,
-    fitted_rate,
     galerkin_solve,
     generate,
     layer_test_problem,
@@ -39,7 +38,7 @@ from layerfem import (
     solve,
 )
 from layerfem.study import interpolation_study
-from oracles import dense_matrix, dense_rhs
+from oracles import dense_matrix, dense_rhs, fitted_rate
 
 # Published uniform energy errors e^N and rates r^N per (N row).  A rate of
 # None marks the final row; an error of None marks the known-typo cell that

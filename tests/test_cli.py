@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 
 from layerfem import MeshSpec, StudyConfig, StudyResult, defaults_for, solve_point
+from layerfem import cli
 from layerfem.cli import main
 
 
@@ -271,3 +273,27 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "mesh step-size checks (kopteva, k = 3, sigma = 4, c1 = 5)" in text
         assert "all step-size bounds hold: yes" in text
+
+
+def _help(command, flag):
+    # The action's own text; rendered --help wraps it by terminal width.
+    return cli._build_parser()[1][command]._option_string_actions[flag].help
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("flag", ["--N", "--epsilon"])
+    @pytest.mark.parametrize("command", ["mesh", "solve", "study", "verify"])
+    def test_repeatable_exactly_where_a_second_value_is_accepted(self, command, flag, capsys):
+        second = {"--N": "16", "--epsilon": "1e-5"}[flag]
+        argv = [command, "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-4", flag, second]
+        accepted = main(argv if command == "mesh" else [*argv, "--k", "1"]) == 0
+        assert ("(repeatable)" in _help(command, flag)) == accepted
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--c1"])
+    def test_mesh_help_names_the_default_it_uses(self, flag, capsys):
+        default = re.fullmatch(r".* \(default (.*)\)", _help("mesh", flag)).group(1)
+        argv = ["mesh", "--mesh-type", "kopteva", "--N", "16", "--epsilon", "1e-6"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert main([*argv, flag, default]) == 0
+        assert capsys.readouterr().out == implicit

@@ -8,12 +8,12 @@ from layerfem import (
     PiecewisePolynomial,
     build_bundle,
     error_norms,
-    fitted_rate,
     generate,
     global_nodes,
     lagrange_interp,
     layer_test_problem,
 )
+from oracles import fitted_rate
 
 
 def layer_mesh(N=16, sigma=2.0, eps=1e-6, family=MeshFamily.ROOS):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layerfem import (
@@ -14,6 +14,7 @@ from layerfem import (
     generate,
     mesh_to_csv,
 )
+from oracles import kopteva_map, roos_map
 
 EPSILONS = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
 N_VALUES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
@@ -98,7 +99,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"roos mesh needs sigma\*eps\*ln\(1/eps\) < 1"):
             MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.2)
         for family in (MeshFamily.KOPTEVA,):
-            with pytest.raises(ValueError, match=r"sigma\*eps\*ln\(1/\(2\*c\*eps\)\) < 1"):
+            with pytest.raises(ValueError, match=r"sigma\*eps\*ln\(1/\(2\*c1\*eps\)\) < 1"):
                 MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1)
         # Above eps = 1/N the mesh is uniform and the graded map never runs.
         assert generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.3)).spec.family is MeshFamily.UNIFORM
@@ -106,6 +107,51 @@ class TestGenerate:
     def test_rejects_eps_below_float_resolution_of_roos_map(self):
         with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
             MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=1e-17)
+
+    def test_checks_run_before_the_log_of_the_graded_map(self):
+        # 1 - a*theta = 2*c1*eps underflows to 0 here: the breakpoint check
+        # must name the fault before the log sees it.
+        with pytest.raises(ValueError, match="breakpoint"):
+            MeshSpec("kopteva", 4, 1.0, 5e-324, 0.25)
+        with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
+            MeshSpec("roos", 4, 1.0, 5e-324)
+
+    def test_breakpoint_constant_near_the_float_limit_builds_the_graded_mesh(self):
+        # 2*c1 overflows but c1*eps = 1e-12 does not: theta = 1/2 - 1e-12 is
+        # admissible, and x(1/2) = 1 - (1 - x_theta)/(2*(1 - theta)) ~ 2e-12.
+        mesh = generate(MeshSpec("kopteva", 4, 2.0, 1e-320, 1e308))
+        assert mesh.spec.family is MeshFamily.KOPTEVA
+        assert mesh.nodes[2] == pytest.approx(2e-12, rel=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from([MeshFamily.ROOS, MeshFamily.KOPTEVA]),
+        N=st.integers(2, 1024).map(lambda n: 2 * n),
+        sigma=st.floats(1.0, 50.0),
+        eps_fraction=st.floats(0.0, 1.0, exclude_min=True),
+        c1=st.floats(0.01, 50.0),
+    )
+    def test_graded_nodes_match_the_separate_maps_bit_for_bit(
+        self, family, N, sigma, eps_fraction, c1
+    ):
+        # eps in (0, 1/N]: the graded map runs.
+        eps = eps_fraction / N
+        assume(eps > 0.0)
+        try:
+            spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=c1)
+        except ValueError:
+            assume(False)
+        t = np.arange(N + 1, dtype=float) / N
+        if family is MeshFamily.ROOS:
+            expected = roos_map(t, sigma, eps)
+        else:
+            expected = kopteva_map(t, sigma, eps, c1)
+        expected[0], expected[-1] = 0.0, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeshAssumptionWarning)
+            mesh = generate(spec)
+        assert mesh.spec.family is family
+        assert np.array_equal(mesh.nodes, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(

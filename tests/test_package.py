@@ -20,9 +20,7 @@ def test_package_exports_every_submodule_export():
 
 
 # Public names that only tests use, each with the reason it stays public.
-TEST_ONLY_API = {
-    "fitted_rate": "the acceptance suite's rate fit over a sequence of uniform errors",
-}
+TEST_ONLY_API: dict[str, str] = {}
 
 
 def _names_used(path: Path) -> tuple[set[str], set[str]]:
@@ -43,15 +41,34 @@ def _names_used(path: Path) -> tuple[set[str], set[str]]:
     return names, members
 
 
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_SOURCES = sorted((ROOT / "src" / "layerfem").glob("*.py"))
+
+
 def _used_outside_the_tests() -> tuple[set[str], set[str]]:
     """:func:`_names_used` over the package and perfbench's non-test modules."""
-    root = Path(__file__).resolve().parents[1]
-    sources = sorted((root / "src" / "layerfem").glob("*.py")) + [
-        path for path in sorted((root / "perfbench").glob("*.py"))
+    sources = PACKAGE_SOURCES + [
+        path for path in sorted((ROOT / "perfbench").glob("*.py"))
         if not path.name.startswith("test_")
     ]
     names, members = zip(*(_names_used(path) for path in sources))
     return set().union(*names), set().union(*members)
+
+
+def _private_definitions(path: Path) -> set[str]:
+    """The private module-level functions, classes and constants a file
+    defines, and the private methods of its classes (dunder names excluded)."""
+    defined = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            defined |= {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    return {name for name in defined if name.startswith("_") and not name.endswith("__")}
 
 
 def test_a_member_is_used_only_as_an_attribute(tmp_path):
@@ -60,6 +77,31 @@ def test_a_member_is_used_only_as_an_attribute(tmp_path):
     names, members = _names_used(source)
     assert {"rhs", "to_dense"} <= names
     assert "rhs" not in members and "to_dense" in members
+
+
+def test_a_private_definition_is_used_only_when_read(tmp_path):
+    source = tmp_path / "source.py"
+    source.write_text(
+        "from .other import _imported\n\n\n_LIMIT = 2\n\n\n"
+        "def _dead():\n    pass\n\n\n"
+        "class _Live:\n    def __init__(self):\n        self._read()\n\n"
+        "    def _read(self):\n        pass\n\n    def _unread(self):\n        pass\n\n\n"
+        "_Live()\n"
+    )
+    defined = _private_definitions(source)
+    assert defined == {"_LIMIT", "_dead", "_Live", "_read", "_unread"}
+    names, _ = _names_used(source)
+    assert defined - names == {"_LIMIT", "_dead", "_unread"}
+
+
+def test_every_private_definition_is_read_outside_the_tests():
+    used, _ = _used_outside_the_tests()
+    unread = sorted(
+        f"{path.name}: {name}"
+        for path in PACKAGE_SOURCES
+        for name in _private_definitions(path) - used
+    )
+    assert unread == [], f"private code nothing reads: {unread}"
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -15,7 +15,6 @@ from layerfem import (
     TwoPointBVP,
     emit,
     error_norms,
-    fitted_rate,
     format_error,
     galerkin_solve,
     generate,
@@ -27,6 +26,7 @@ from layerfem import (
 from layerfem import study
 from layerfem.problem import _PROBLEMS
 from layerfem.study import defaults_for, interpolation_study
+from oracles import fitted_rate
 
 
 def small_config(**overrides):
