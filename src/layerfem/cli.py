@@ -113,11 +113,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
-def _single(values, name: str, default=None):
+def _single(values, name: str):
     if values is None:
-        if default is None:
-            raise ValueError(f"--{name} is required")
-        return default
+        raise ValueError(f"--{name} is required")
     if isinstance(values, list):
         if len(values) != 1:
             raise ValueError(f"--{name} must be given exactly once for this command")
@@ -149,7 +147,7 @@ def _cmd_mesh(args: argparse.Namespace) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
-    k = _single(args.k, "k", default=None)
+    k = _single(args.k, "k")
     spec = _mesh_from_args(args, k)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
@@ -198,18 +196,21 @@ def _cmd_study(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> None:
-    family = _single(args.mesh_type, "mesh-type", default="roos")
-    k_values = tuple(args.k) if args.k else (1, 2)
-    n_values = tuple(args.N) if args.N else (64, 128, 256, 512)
-    epsilons = tuple(args.epsilon) if args.epsilon else DEFAULT_EPSILONS
+    # verify's own defaults; the config checks the whole sweep before any mesh is built.
+    family = args.mesh_type or "roos"
+    config = StudyConfig(
+        families=(family,), k_list=tuple(args.k or (1, 2)), sigma=args.sigma, c1=args.c1,
+        N_list=tuple(args.N or (64, 128, 256, 512)),
+        epsilons=tuple(args.epsilon or DEFAULT_EPSILONS), problem=args.problem,
+    )
 
     lines = []
-    for k in k_values:
-        sigma, c1 = defaults_for(k, args.sigma, args.c1)
+    for k in config.k_list:
+        sigma, c1 = config.sigma_for(k), config.c1_for(k)
         lines.append(f"mesh step-size checks ({family}, k = {k}, sigma = {sigma:g}, c1 = {c1:g})")
         all_hold = True
-        for eps in epsilons:
-            for n_intervals in n_values:
+        for eps in config.epsilons:
+            for n_intervals in config.N_list:
                 spec = MeshSpec(
                     family=family,
                     N=n_intervals,
@@ -224,9 +225,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         lines.append(f"  all step-size bounds hold: {'yes' if all_hold else 'NO'}")
     lines.append("")
 
-    for k in k_values:
-        rows = interpolation_study(family, k, n_values, epsilons, problem=args.problem,
-                                   sigma=args.sigma, c1=args.c1)
+    for k in config.k_list:
+        rows = interpolation_study(family, k, config.N_list, config.epsilons,
+                                   problem=config.problem, sigma=config.sigma, c1=config.c1)
         lines.append(f"interpolation errors, k = {k} (max over epsilon)")
         lines.append(
             f"{'N':>6} {'max|u-uI|':>12} {'rate':>6} {'L2':>12} {'rate':>6} "

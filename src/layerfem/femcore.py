@@ -81,8 +81,8 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _check_degree(degree: int) -> None:
-    if degree < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {degree}")
+    if not 1 <= degree <= 10:
+        raise ValueError(f"polynomial degree must lie in 1..10, got {degree}")
 
 
 def _shape_values(degree: int, t: np.ndarray) -> np.ndarray:
@@ -125,8 +125,6 @@ def shape_tables(degree: int, t) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the q-point Gauss-Legendre rule on [0, 1], read-only;
     exact for degree <= 2q - 1."""
-    if q < 1:
-        raise ValueError(f"need at least one quadrature point, got {q}")
     pts, wts = np.polynomial.legendre.leggauss(q)
     return _frozen(0.5 * (pts + 1.0), 0.5 * wts)
 

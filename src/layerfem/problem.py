@@ -71,12 +71,18 @@ class TwoPointBVP:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         beta, gamma = self.sampled_bounds()
-        if beta <= 1.0:
+        # Written so that a NaN sample fails each test.
+        if not beta > 1.0:
             raise ValueError(f"b(x) must exceed 1 on [0, 1]; sampled minimum {beta:.6g}")
-        if gamma <= 0.0:
+        if not gamma > 0.0:
             raise ValueError(
                 f"c(x) + b'(x)/2 must be positive on [0, 1]; sampled minimum {gamma:.6g}"
             )
+        x = np.linspace(0.0, 1.0, _N_SAMPLES)
+        f = np.broadcast_to(self.f(x), x.shape)
+        if not np.isfinite(f).all():
+            bad = np.isfinite(f).argmin()
+            raise ValueError(f"f(x) must be finite on [0, 1]; sampled f({x[bad]:.6g}) = {f[bad]}")
         if self.exact is not None:
             self.exact.validate()
 

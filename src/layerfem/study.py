@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .femcore import PiecewisePolynomial, galerkin_solve
+from .femcore import PiecewisePolynomial, _check_degree, galerkin_solve
 from .interpolants import build_bundle
 from .mesh import MeshFamily, MeshSpec, generate
 from .norms import ErrorTriple, error_norms, polynomial_energy_norm
@@ -45,6 +45,7 @@ def defaults_for(
 ) -> tuple[float, float]:
     """Mesh parameters (sigma, c1) for degree k: ``sigma`` and ``c1`` where
     given, else the defaults (k + 1, 5(k+1)/4)."""
+    _check_degree(k)
     return (
         float(k + 1) if sigma is None else sigma,
         5.0 * (k + 1) / 4.0 if c1 is None else c1,
@@ -57,10 +58,10 @@ class StudyConfig:
 
     Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
     for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
-    any point runs: degrees in 1..10, the problem name (:func:`get_problem`'s
-    message), each family, and each distinct (N, sigma, epsilon, c1) once in
-    sweep order (:class:`MeshSpec`'s messages).  Only the graded map's own
-    conditions are left to the points, where a violation becomes a failed record.
+    any point runs: each degree (``femcore._check_degree``, the one degree rule), the
+    problem name (:func:`get_problem`'s message), each family, and each distinct (N,
+    sigma, epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages).  Only the
+    graded map's own conditions are left to the points, where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -73,8 +74,7 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         for k in self.k_list:
-            if not 1 <= k <= 10:
-                raise ValueError(f"degree must lie in 1..10, got {k}")
+            _check_degree(k)
         if not (self.families and self.k_list and self.epsilons and self.N_list != ()):
             raise ValueError("families, k_list, N_list and epsilons must be nonempty")
         if self.problem not in _PROBLEMS:

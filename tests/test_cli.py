@@ -3,7 +3,16 @@ import re
 
 import pytest
 
-from layerfem import MeshSpec, StudyConfig, StudyResult, defaults_for, solve_point
+import numpy as np
+
+from layerfem import (
+    MeshSpec,
+    SingularMatrixError,
+    StudyConfig,
+    StudyResult,
+    defaults_for,
+    solve_point,
+)
 from layerfem import cli
 from layerfem.cli import main
 
@@ -103,6 +112,51 @@ class TestSolveCommand:
         assert outputs[1] == outputs[0]
 
 
+    def test_samples_must_be_positive(self, capsys):
+        code = main(["solve", "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-6",
+                     "--k", "1", "--samples", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --samples must be positive\n"
+
+    def test_non_finite_data_is_invalid_usage(self, capsys):
+        # At eps = 1e-160, u''(0) ~ -4/eps^2 overflows, so f(0) is not finite.
+        with np.errstate(over="ignore"):
+            code = main(["solve", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
+                         "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: f(x) must be finite on [0, 1]; sampled f(0) = inf\n"
+
+    def test_singular_system_is_numerical_failure(self, monkeypatch, capsys):
+        def singular(problem, spec, k):
+            raise SingularMatrixError(pivot_index=3)
+
+        monkeypatch.setattr("layerfem.cli.solve_point", singular)
+        code = main(["solve", "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-6", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "numerical failure: zero or non-finite pivot at elimination step 3\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "11"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-6"],
+        ["verify", "--N", "8"],
+        ["study"],
+    ],
+    ids=["solve", "verify", "study"],
+)
+def test_every_command_applies_the_one_degree_rule(argv, k, capsys):
+    assert main([*argv, "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: polynomial degree must lie in 1..10, got {k}\n"
+
+
 class TestStudyCommand:
     def test_csv_deterministic(self, tmp_path, capsys):
         args = ["study", "--mesh-type", "roos", "--k", "1", "--N", "8", "--N", "16",
@@ -155,6 +209,17 @@ class TestStudyCommand:
         assert code == 0
         [line] = captured.err.splitlines()
         assert line.startswith("run failed: family=kopteva k=1 N=8") and "breakpoint" in line
+        assert "ERR" in captured.out
+
+    def test_non_finite_data_is_a_failed_run(self, capsys):
+        with np.errstate(over="ignore"):
+            code = main(["study", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
+                         "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        [line] = captured.err.splitlines()
+        assert line == ("run failed: family=kopteva k=2 N=8 epsilon=1e-160: "
+                        "f(x) must be finite on [0, 1]; sampled f(0) = inf")
         assert "ERR" in captured.out
 
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path, capsys):
@@ -273,6 +338,49 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "mesh step-size checks (kopteva, k = 3, sigma = 4, c1 = 5)" in text
         assert "all step-size bounds hold: yes" in text
+
+    def test_without_mesh_type_checks_roos(self, capsys):
+        argv = ["verify", "--k", "1", "--N", "8", "--epsilon", "1e-6"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert implicit.startswith("mesh step-size checks (roos, k = 1, sigma = 2, c1 = 2.5)\n")
+        assert main([*argv, "--mesh-type", "roos"]) == 0
+        assert capsys.readouterr().out == implicit
+
+    def test_reports_a_failed_step_size_bound(self, capsys):
+        # eps*N = 0.83 lies outside the regime where the bounds are verified;
+        # there the coarse steps fall below 1/N.
+        code = main(["verify", "--mesh-type", "roos", "--N", "12", "--epsilon", "0.06875",
+                     "--sigma", "3.157", "--k", "1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "mesh step-size checks (roos, k = 1, sigma = 3.157, c1 = 2.5)",
+            "  FAIL N=12 epsilon=0.06875: StepSizeChecks(fine_steps_nondecreasing=True, "
+            "pre_transition_step_bounded=True, transition_step_bounded=True, "
+            "coarse_steps_bounded=False, midpoint_left_of_half=False)",
+            "  all step-size bounds hold: NO",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags,rule",
+        [
+            (["--problem", "foo"], "unknown problem 'foo'; available: layer-test"),
+            (["--k", "1", "--k", "-1"], "polynomial degree must lie in 1..10, got -1"),
+            (["--epsilon", "1e-6", "--epsilon", "2"], "epsilon must lie in (0, 1), got 2.0"),
+        ],
+        ids=["problem", "degree", "epsilon"],
+    )
+    def test_invalid_sweep_fails_before_any_mesh_is_built(self, flags, rule, monkeypatch, capsys):
+        built = []
+        for module in ("cli", "study"):
+            monkeypatch.setattr(f"layerfem.{module}.generate", built.append)
+        code = main(["verify", "--N", "8", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert built == []
+        assert captured.out == ""
+        assert captured.err == f"error: {rule}\n"
 
 
 def _help(command, flag):

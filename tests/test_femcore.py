@@ -134,6 +134,10 @@ class TestQuadrature:
             weights[0] = 1.0
         assert gauss_legendre(3)[1] is weights
 
+    def test_rejects_a_rule_without_points(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
+
 
 class TestAssembly:
     def test_hat_function_matrix_by_hand(self):
@@ -225,8 +229,20 @@ class TestAssembly:
         # message names the degree, not the number of quadrature points.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
-        with pytest.raises(ValueError, match=f"polynomial degree must be >= 1, got {degree}"):
+        with pytest.raises(ValueError, match=f"polynomial degree must lie in 1..10, got {degree}"):
             assemble(bvp, mesh, degree)
+
+    @pytest.mark.parametrize(
+        "matrices,loads,message",
+        [
+            ((1, 3, 3), (1, 3), r"element matrices must have shape \(N >= 2, 3, 3\)"),
+            ((4, 2, 2), (4, 3), r"element matrices must have shape \(N >= 2, 3, 3\)"),
+            ((4, 3, 3), (4, 2), r"element loads must have shape \(4, 3\)"),
+        ],
+    )
+    def test_element_system_rejects_misshapen_arrays(self, matrices, loads, message):
+        with pytest.raises(ValueError, match=message):
+            ElementSystem(matrices=np.zeros(matrices), loads=np.zeros(loads), degree=2)
 
 
 def _reference_polynomials(k):
@@ -291,6 +307,14 @@ class TestBandedSolve:
         rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         lu = TridiagonalLU(*_tridiagonal(np.eye(5)))
         np.testing.assert_array_equal(lu.solve(rhs), rhs)
+
+    @pytest.mark.parametrize(
+        "dl,d,du",
+        [([1.0], [1.0, 2.0], [1.0, 1.0]), ([], [], []), ([[1.0]], [[1.0, 2.0]], [[1.0]])],
+    )
+    def test_rejects_mismatched_diagonals(self, dl, d, du):
+        with pytest.raises(ValueError, match="need n >= 1 diagonal and n - 1 off-diagonal entries"):
+            TridiagonalLU(np.array(dl), np.array(d), np.array(du))
 
     def test_random_banded_against_dense_lu(self):
         # Condensed solve vs dense LU of the same assembled system, on random
@@ -703,7 +727,7 @@ class TestPiecewisePolynomial:
 
     def test_rejects_degree_zero(self):
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
-        with pytest.raises(ValueError, match="polynomial degree must be >= 1"):
+        with pytest.raises(ValueError, match="polynomial degree must lie in 1..10"):
             PiecewisePolynomial(mesh=mesh, degree=0, coefficients=np.zeros(1))
 
     def test_element_coefficients_shares_boundary_nodes(self):

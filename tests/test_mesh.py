@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layerfem import (
+    Mesh1D,
     MeshAssumptionWarning,
     MeshFamily,
     MeshSpec,
@@ -219,6 +220,21 @@ class TestGenerate:
         np.testing.assert_array_equal(mesh.steps, np.diff(mesh.nodes))
         assert mesh.steps is mesh.steps
         assert not mesh.steps.flags.writeable
+
+
+class TestMesh1D:
+    # Mesh1D is exported, so a caller may build one from nodes of its own.
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [
+            (np.linspace(0.0, 1.0, 8), "expected 9 nodes, got 8"),
+            (np.linspace(0.0, 0.9, 9), r"mesh must span \[0, 1\] exactly"),
+            ([0.0, 0.1, 0.3, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0], "mesh nodes must be strictly increasing"),
+        ],
+    )
+    def test_rejects_nodes_that_are_not_a_mesh_of_its_spec(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            Mesh1D(nodes=nodes, spec=roos_spec(N=8))
 
 
 class TestStepSizeChecks:

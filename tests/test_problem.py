@@ -147,6 +147,39 @@ class TestBVPValidation:
         with pytest.raises(ValueError, match="epsilon"):
             layer_test_problem(1.5)
 
+    @pytest.mark.parametrize(
+        "coefficient,rule",
+        [("b", "b\\(x\\) must exceed 1"), ("c", "must be positive"), ("b_prime", "must be positive")],
+        ids=["b", "c", "b_prime"],
+    )
+    def test_rejects_nan_coefficients(self, coefficient, rule):
+        data = dict(
+            b=lambda x: 3.0 - x,
+            c=lambda x: np.ones_like(x),
+            f=lambda x: np.zeros_like(x),
+            b_prime=lambda x: -np.ones_like(x),
+        )
+        data[coefficient] = lambda x: np.full_like(x, np.nan)
+        with pytest.raises(ValueError, match=f"{rule} on \\[0, 1\\]; sampled minimum nan"):
+            TwoPointBVP(epsilon=0.5, **data)
+
+    def test_rejects_non_finite_forcing_naming_f(self):
+        with pytest.raises(ValueError, match=r"f\(x\) must be finite on \[0, 1\]; sampled f\(1\) = inf"):
+            TwoPointBVP(
+                epsilon=0.5,
+                b=lambda x: 3.0 - x,
+                c=lambda x: np.ones_like(x),
+                f=lambda x: np.where(x < 1.0, 0.0, np.inf),
+                b_prime=lambda x: -np.ones_like(x),
+            )
+
+    def test_layer_test_forcing_overflows_below_about_1e_154(self):
+        # u''(0) ~ -4/eps^2, which is not finite for eps below ~1e-154.
+        with np.errstate(over="ignore"):
+            layer_test_problem(1e-150)
+            with pytest.raises(ValueError, match=r"sampled f\(0\) = inf"):
+                layer_test_problem(1e-160)
+
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
             u_and_prime=lambda x: (

@@ -67,6 +67,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="1..10"):
             StudyConfig(k_list=(11,))
 
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_every_entry_point_applies_the_one_degree_rule(self, k):
+        rule = rf"^polynomial degree must lie in 1\.\.10, got {k}$"
+        with pytest.raises(ValueError, match=rule):
+            StudyConfig(k_list=(1, k))
+        with pytest.raises(ValueError, match=rule):
+            defaults_for(k)
+        with pytest.raises(ValueError, match=rule):
+            interpolation_study("roos", k, (8,))
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             StudyConfig(epsilons=(2.0,))
@@ -301,6 +311,14 @@ class TestEmit:
         assert "0.208E-01" in table
         assert "1.00" in table
         assert "—" in table  # final rate placeholder
+
+    def test_table_leaves_a_blank_cell_where_a_family_lacks_an_n(self):
+        roos = run_study(small_config(N_list=(8, 16), epsilons=(1e-6,))).records
+        kopteva = run_study(small_config(families=("kopteva",), N_list=(8,), epsilons=(1e-6,)))
+        lines = emit(roos + kopteva.records, "table").splitlines()
+        assert lines[1].split() == ["N", "kopteva:", "e^N", "r^N", "roos:", "e^N", "r^N"]
+        [roos_16] = [r for r in roos if r.N == 16]
+        assert lines[3] == f"{16:>6}  {'':>16} {'':>6}  {format_error(roos_16.e_energy):>16} {'—':>6}"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
