@@ -14,6 +14,7 @@ which u is the first entry, and the split u = S + E used by the interpolants.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,7 +80,8 @@ class TwoPointBVP:
                 f"c(x) + b'(x)/2 must be positive on [0, 1]; sampled minimum {gamma:.6g}"
             )
         x = np.linspace(0.0, 1.0, _N_SAMPLES)
-        f = np.broadcast_to(self.f(x), x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):   # the check below names the fault
+            f = np.broadcast_to(self.f(x), x.shape)
         if not np.isfinite(f).all():
             bad = np.isfinite(f).argmin()
             raise ValueError(f"f(x) must be finite on [0, 1]; sampled f({x[bad]:.6g}) = {f[bad]}")
@@ -109,16 +111,24 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         u'' = -(2/eps)*E0*(2 + 2(1-x)/eps)
 
     and f = -eps*u'' - (3-x)*u' + u; u_and_prime and f evaluate E0 once per call.
-    exp underflows to zero far from the layer, which only drops terms already
-    below round-off of the smooth part.  The problem is immutable, so it is
-    built once per epsilon and shared.
+    -2x/eps is floored at a_min = log(2^-56 * eps/(1+eps)), so exp never
+    underflows, and u_and_prime returns (1 - x, -1) for an array wholly at
+    x >= reach = -eps*a_min/2.  Both are bit-identical on [0, 1], as every E0
+    they change is at most E = 2^-56 * eps/(1+eps): (a) 1 - E0 rounds to 1;
+    (b) s = 1 + 2(1-x)/eps has s*E0 <= (1 + 2/eps)*E <= 2^-55, so s*E0 - 1
+    rounds to -1; (c) f's diffusion term 2*E0*(2 + 2(1-x)/eps) <= 2^-54 is
+    absorbed by 3 - x in [2, 3].
+    The problem is immutable, so it is built once per epsilon and shared.
     """
     eps = float(epsilon)
+    a_min = math.log(2.0**-56 * eps / (1.0 + eps))
+    reach = -eps * a_min / 2.0
 
     def layer_terms(x):
         # E0, u and u' in place, each operation in the order of the formulas.
         e0 = np.asarray(np.multiply(x, -2.0))
         e0 /= eps
+        np.maximum(e0, a_min, out=e0)   # bit-identical on [0, 1]: (a)-(c) in the docstring
         np.exp(e0, out=e0)
         s = 1.0 - x
         u_x = (1.0 - e0) * s
@@ -130,6 +140,11 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         return e0, u_x, s
 
     def u_and_prime(x):
+        # Screened on the first entry, so a mixed array pays no reduction.
+        x = np.asarray(x)
+        if x.size and x.item(0) >= reach and x.min() >= reach:
+            u_x = 1.0 - x
+            return u_x, np.full_like(u_x, -1.0)
         return layer_terms(x)[1:]
 
     def smooth(x):

@@ -1,9 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-
-import numpy as np
 
 from layerfem import (
     MeshSpec,
@@ -118,15 +120,29 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: --samples must be positive\n"
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_data_is_invalid_usage(self, capsys):
         # At eps = 1e-160, u''(0) ~ -4/eps^2 overflows, so f(0) is not finite.
-        with np.errstate(over="ignore"):
-            code = main(["solve", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
-                         "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
+        code = main(["solve", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
+                     "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: f(x) must be finite on [0, 1]; sampled f(0) = inf\n"
+
+    def test_non_finite_data_prints_only_the_error_line(self):
+        # The overflow is named once, by the error line: no numpy warning or
+        # source line reaches stderr of the installed command.
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "layerfem.cli", "solve", "--mesh-type", "kopteva", "--N", "8",
+             "--sigma", "2", "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: f(x) must be finite on [0, 1]; sampled f(0) = inf\n"
 
     def test_singular_system_is_numerical_failure(self, monkeypatch, capsys):
         def singular(problem, spec, k):
@@ -211,10 +227,10 @@ class TestStudyCommand:
         assert line.startswith("run failed: family=kopteva k=1 N=8") and "breakpoint" in line
         assert "ERR" in captured.out
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_data_is_a_failed_run(self, capsys):
-        with np.errstate(over="ignore"):
-            code = main(["study", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
-                         "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
+        code = main(["study", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
+                     "--epsilon", "1e-160", "--c1", "1e159", "--k", "2"])
         captured = capsys.readouterr()
         assert code == 0
         [line] = captured.err.splitlines()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfem import (
     ExactSolution,
@@ -14,6 +16,36 @@ from layerfem import (
 )
 
 EPSILONS = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
+
+
+def closed_forms(x, eps):
+    """u, u' and f of the layer-test problem, written out as in its docstring."""
+    e0 = np.exp(-2.0 * x / eps)
+    u = (1.0 - x) * (1.0 - e0)
+    du = -1.0 + e0 * (1.0 + 2.0 * (1.0 - x) / eps)
+    ddu = -(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)
+    return u, du, -eps * ddu - (3.0 - x) * du + u
+
+
+@st.composite
+def eps_and_points(draw):
+    """eps log-uniform in [1e-150, 0.99] and points of [0, 1] as an unsorted
+    array, an array wholly at or beyond the reach of the layer term, an array
+    straddling it (the near point first or anywhere else), or a 0-d array;
+    the first two may be empty."""
+    eps = math.exp(draw(st.floats(math.log(1e-150), math.log(0.99))))
+    # Beyond reach exp(-2x/eps) <= 2^-56 * eps/(1+eps): below every last bit.
+    reach = min(1.0, -eps * math.log(2.0**-56 * eps / (1.0 + eps)) / 2.0)
+    anywhere = st.floats(0.0, 1.0) | st.floats(0.0, min(1.0, 2.0 * reach))
+    far = st.floats(reach, 1.0)
+    kind = draw(st.sampled_from(["unsorted", "far", "straddling", "0-d"]))
+    if kind == "0-d":
+        return eps, np.array(draw(anywhere))
+    points = draw(st.lists(far if kind != "unsorted" else anywhere, max_size=40))
+    if kind == "straddling":
+        near = draw(st.floats(0.0, reach, exclude_max=True))
+        points.insert(draw(st.integers(0, len(points))), near)
+    return eps, np.array(points)
 
 
 class TestLayerTestProblem:
@@ -85,22 +117,29 @@ class TestLayerTestProblem:
         x = np.concatenate([np.linspace(0.0, 1.0, 1001), eps * np.linspace(0.0, 376.0, 3761)])
         assert np.any((np.exp(-2.0 * x / eps) > 0.0) & (np.exp(-2.0 * x / eps) < 2.0**-1022))
         u, du = layer_test_problem(eps).exact.u_and_prime(x)
-        np.testing.assert_array_equal(u, (1.0 - x) * (1.0 - np.exp(-2.0 * x / eps)))
-        np.testing.assert_array_equal(
-            du, -1.0 + np.exp(-2.0 * x / eps) * (1.0 + 2.0 * (1.0 - x) / eps)
-        )
+        u_ref, du_ref, _ = closed_forms(x, eps)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(du, du_ref)
 
     @pytest.mark.parametrize("eps", EPSILONS)
     def test_forcing_matches_closed_form_bit_for_bit(self, eps):
         # f shares exp(-2x/eps) with u and u' and keeps the closed form's
         # operand order, subnormal band included.
         x = np.concatenate([np.linspace(0.0, 1.0, 1001), eps * np.linspace(0.0, 376.0, 3761)])
-        e0 = np.exp(-2.0 * x / eps)
-        u = (1.0 - x) * (1.0 - e0)
-        du = -1.0 + e0 * (1.0 + 2.0 * (1.0 - x) / eps)
-        ddu = -(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)
-        f = layer_test_problem(eps).f(x)
-        np.testing.assert_array_equal(f, -eps * ddu - (3.0 - x) * du + u)
+        np.testing.assert_array_equal(layer_test_problem(eps).f(x), closed_forms(x, eps)[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps_and_points())
+    def test_floor_and_far_field_match_closed_forms_bit_for_bit(self, eps_and_x):
+        # The exponent floor and the far-field (u, u') change no bit, shape or
+        # dtype, whatever the order of the points around the reach.
+        eps, x = eps_and_x
+        bvp = layer_test_problem(eps)
+        got = (*bvp.exact.u_and_prime(x), bvp.f(x))
+        for value, ref in zip(got, closed_forms(x, eps)):
+            assert np.shape(value) == np.shape(ref) == x.shape
+            assert np.asarray(value).dtype == np.asarray(ref).dtype == np.float64
+            np.testing.assert_array_equal(value, ref)
 
     def test_validate_passes(self):
         layer_test_problem(1e-6).exact.validate()
@@ -173,12 +212,12 @@ class TestBVPValidation:
                 b_prime=lambda x: -np.ones_like(x),
             )
 
+    @pytest.mark.filterwarnings("error")
     def test_layer_test_forcing_overflows_below_about_1e_154(self):
         # u''(0) ~ -4/eps^2, which is not finite for eps below ~1e-154.
-        with np.errstate(over="ignore"):
-            layer_test_problem(1e-150)
-            with pytest.raises(ValueError, match=r"sampled f\(0\) = inf"):
-                layer_test_problem(1e-160)
+        layer_test_problem(1e-150)
+        with pytest.raises(ValueError, match=r"sampled f\(0\) = inf"):
+            layer_test_problem(1e-160)
 
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
