@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .femcore import SingularMatrixError
+from .femcore import SingularMatrixError, _element_points, _element_rows, _point_table
 from .mesh import MeshFamily, MeshSpec, check_step_sizes, generate, mesh_to_csv
 from .problem import get_problem
 from .study import (
@@ -154,10 +154,8 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     fem, tri = solve_point(args.problem, spec, k)
 
     mesh = fem.mesh
-    local = np.linspace(0.0, 1.0, args.samples, endpoint=False)
-    x = np.append(
-        (mesh.nodes[:-1, None] + mesh.steps[:, None] * local[None, :]).ravel(), 1.0
-    )
+    local = _point_table(np.linspace(0.0, 1.0, args.samples, endpoint=False))
+    x = np.append(_element_points(_element_rows(mesh), local).ravel(), 1.0)
     u_num = fem.evaluate(x)
     u_ref = np.asarray(get_problem(args.problem, spec.epsilon).exact.u(x), dtype=float)
     lines = ["x,u_N,u_exact,error"]

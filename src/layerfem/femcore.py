@@ -129,10 +129,39 @@ def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(0.5 * (pts + 1.0), 0.5 * wts)
 
 
+def _element_rows(mesh: Mesh1D) -> np.ndarray:
+    """The (N, 2) rows (h_i, x_i) of the elements: step and left node."""
+    rows = np.empty((mesh.N, 2))
+    rows[:, 0], rows[:, 1] = mesh.steps, mesh.nodes[:-1]
+    return rows
+
+
+def _point_table(t: np.ndarray) -> np.ndarray:
+    """The (2, P) table [t; 1] of the reference points t."""
+    table = np.ones((2, t.size))
+    table[0] = t
+    return table
+
+
+def _element_points(rows: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
+    """The (E, P) table x_i + t_j*h_i of the element rows (h_i, x_i) of
+    :func:`_element_rows` and the columns (t_j, 1) of :func:`_point_table`.
+
+    Computed as the product ``rows @ table``: dgemm rounds h_i*t_j and then
+    adds x_i*1 exactly, the two roundings of the broadcast, in one BLAS call
+    where the broadcast runs an inner loop of P points per row.  numpy hands
+    a product with one row or one column to gemv, which can round otherwise,
+    so those shapes take the broadcast.
+    """
+    if rows.shape[0] == 1 or table.shape[1] == 1:
+        out = np.multiply(rows[:, :1], table[0], out=out)
+        return np.add(rows[:, 1:], out, out=out)
+    return np.matmul(rows, table, out=out)
+
+
 def global_nodes(mesh: Mesh1D, degree: int) -> np.ndarray:
     """Coordinates of the k*N + 1 global nodes x_i + (j/k)*h_i, left to right."""
-    local = np.arange(degree) / degree
-    inner = mesh.nodes[:-1, None] + mesh.steps[:, None] * local[None, :]
+    inner = _element_points(_element_rows(mesh), _point_table(np.arange(degree) / degree))
     return np.append(inner.ravel(), mesh.nodes[-1])
 
 
@@ -253,7 +282,7 @@ def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> ElementSystem:
     xi, w = gauss_legendre(q)
     stiff, conv, mass, shp = _element_tables(k, q)
     h = mesh.steps
-    x_q = mesh.nodes[:-1, None] + h[:, None] * xi[None, :]   # (N, q)
+    x_q = _element_points(_element_rows(mesh), _point_table(xi))   # (N, q)
 
     # Physical-space factors: d theta/dx = dshp/h and dx = h dxi, so the
     # diffusion block scales by 1/h, convection by 1 and mass by h.

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, global_nodes
+from .femcore import PiecewisePolynomial, _element_points, _element_rows, _point_table
+from .femcore import global_nodes
 from .mesh import Mesh1D
 from .problem import ExactSolution
 
@@ -59,9 +60,9 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
     u_i = lagrange_interp(exact.u, mesh, degree)
     e = mesh.N // 2 - 1
     corr = np.zeros_like(u_i.coefficients)
-    corr[e * degree : (e + 1) * degree] = exact.E(
-        mesh.nodes[e] + mesh.steps[e] * (np.arange(degree) / degree)
-    )
+    local = _point_table(np.arange(degree) / degree)
+    nodes = _element_points(_element_rows(mesh)[e : e + 1], local)[0]   # a one-row product
+    corr[e * degree : (e + 1) * degree] = exact.E(nodes)
     return InterpolantBundle(
         u_interp=u_i,
         correction=PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=corr),

@@ -62,9 +62,9 @@ class MeshSpec:
 
     N, sigma, epsilon and c1 are checked for every family; the graded map's
     own conditions only where :func:`generate` uses it (epsilon <= 1/N):
-    kopteva needs the breakpoint t = 1/2 - c1*eps in (0, 1/2), and the layer
-    part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1; kopteva:
-    sigma*eps*ln(1/(2*c1*eps)) < 1).
+    kopteva needs the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], and the
+    layer part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1;
+    kopteva: sigma*eps*ln(1/(2*c1*eps)) < 1).
     A violated condition raises a ValueError that names it.
     """
 
@@ -109,9 +109,12 @@ class MeshSpec:
         else:
             c1_eps = self.c1 * eps
             theta = 0.5 - c1_eps
-            if not 0.0 < theta < 0.5:
+            # Below 1/2 - 2^-52, the uniform part's node at t = 1/2,
+            # 1 - (1 - x_theta)/(2(1 - theta)), clears x_theta by
+            # 2(1/2 - theta) >= 2^-51, twice its rounding error.
+            if not 0.0 < theta <= 0.5 - 2.0**-52:
                 raise ValueError(
-                    f"breakpoint t = 1/2 - {self.c1}*{eps} = {theta} must lie in (0, 1/2)"
+                    f"breakpoint t = 1/2 - {self.c1}*{eps} = {theta} must lie in (0, 1/2 - 2^-52]"
                 )
             a, rest = 2.0, 2.0 * c1_eps
             condition = "sigma*eps*ln(1/(2*c1*eps)) < 1"

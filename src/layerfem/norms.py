@@ -18,6 +18,14 @@ results form one (2, 2, n) array, [integral, round-off bound] x [value, slope]
 per element, so one test settles both and one product scales all four by h.
 Its `@ w` products run over exactly the rows of its elements: OpenBLAS's gemv
 blocks by rows, so another grouping of the same rows can move a sum by an ulp.
+A level's points x_i + t_j*h_i are one product of its elements' rows
+(h_i, x_i), stacked once per call, and the cached table [t; 1]: dgemm rounds
+as the broadcast does, but a broadcast (n, 1) * (P,) runs n inner loops of
+only P = 16-56 points, 8x slower at n = 2048.  One row or one column would go
+to gemv, which rounds otherwise, so those keep the broadcast
+(femcore._element_points).  The round-off bound (2|d| + delta)*delta is
+integrated as (|d| + delta/2)*(delta/2) against 4w, the same bits with one
+array pass fewer while those factors stay normal (see _error_integrals).
 The energy norm of a piecewise polynomial itself is exact from the reference
 stiffness and mass.
 """
@@ -31,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, _element_tables, _frozen, gauss_legendre
-from .femcore import global_nodes, shape_tables
+from .femcore import PiecewisePolynomial, _element_points, _element_rows, _element_tables
+from .femcore import _frozen, _point_table, gauss_legendre, global_nodes, shape_tables
 
 __all__ = ["ErrorTriple", "error_norms", "polynomial_energy_norm"]
 
@@ -66,27 +74,37 @@ def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...
     return _frozen(pts, wts, shape, slope, np.abs(shape), np.abs(slope))
 
 
-def _error_integrals(u, fem, abs_fem, scratch, w, out, peaks=None) -> None:
-    """(u - fem)^2 and its round-off bound integrated over the reference element
-    into ``out[0]`` and ``out[1]``, max |u - fem| appended to any ``peaks``.
+@functools.lru_cache(maxsize=128)
+def _level_table(degree: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, P) table [t; 1] of a level's points and its weights times 4."""
+    pts, wts = _quadrature_table(degree, degree + 3, panels)[:2]
+    return _frozen(_point_table(pts), 4.0 * wts)
 
-    ``abs_fem`` is the sum of |c_a||phi_a| behind ``fem``, so |u| + abs_fem is
-    the size of the values subtracted.  A difference of values of that size is
-    off by at most delta = _ROUNDOFF*size, so its square is off by at most
-    2|diff|*delta + delta^2.  ``fem``, ``abs_fem`` and ``scratch`` (of the same
-    shape) are overwritten; ``u`` is only read.
+
+def _error_integrals(u, fem, abs_fem, scratch, w, w4, out, peaks=None) -> None:
+    """(u - fem)^2 and its round-off bound integrated over the reference element
+    by the weights ``w`` (``w4`` = 4*w) into ``out[0]`` and ``out[1]``, max
+    |u - fem| appended to any ``peaks``.
+
+    ``abs_fem`` is the sum of |c_a||phi_a| behind ``fem``, so s = |u| + abs_fem
+    is the size of the values subtracted.  A difference of values of that size
+    is off by at most delta = _ROUNDOFF*s, so its square is off by at most
+    (2|diff| + delta)*delta.  That bound is integrated as
+    (|diff| + delta/2)*(delta/2) @ w4, which scales each rounded step by a power
+    of two, so it has the same bits while delta/2 and the integrand are normal
+    numbers, i.e. for s >= 2^-461 (and s = 0).  ``fem``, ``abs_fem`` and
+    ``scratch`` (of the same shape) are overwritten; ``u`` is only read.
     """
     diff = np.subtract(u, fem, out=fem)
     np.abs(u, out=scratch)
-    delta = np.add(scratch, abs_fem, out=abs_fem)
-    delta *= _ROUNDOFF
+    half = np.add(scratch, abs_fem, out=abs_fem)
+    half *= 0.5 * _ROUNDOFF
     np.abs(diff, out=scratch)
     if peaks is not None:
         peaks.append(scratch.max())
-    scratch *= 2.0
-    scratch += delta
-    scratch *= delta
-    np.matmul(scratch, w, out=out[1])
+    scratch += half
+    scratch *= half
+    np.matmul(scratch, w4, out=out[1])
     diff *= diff
     np.matmul(diff, w, out=out[0])
 
@@ -108,7 +126,7 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
     ``fem`` reproduces exactly settle at the first comparison.
     """
     mesh, degree = fem.mesh, fem.degree
-    h, left, coeff = mesh.steps, mesh.nodes[:-1, None], fem.element_coefficients()
+    h, h_left, coeff = mesh.steps, _element_rows(mesh), fem.element_coefficients()
     abs_coeff = np.abs(coeff)
 
     # Largest |exact - fem| at the global nodes and then at each level's points.
@@ -121,15 +139,14 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
         # for the whole mesh, whose arrays are then read without copies.
         nonlocal work
         pts, wts, shape, slope, abs_shape, abs_slope = _quadrature_table(degree, degree + 3, panels)
+        table, wts4 = _level_table(degree, panels)
         he = h[elems]
         size = he.size * pts.size
         if work.size < 5 * size:
             work = np.empty(5 * size)
         # x becomes the integrals' scratch once u and u' are in.
         x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, he.size, pts.size)
-        hc = he[:, None]
-        np.multiply(hc, pts, out=x)
-        x += left[elems]
+        _element_points(h_left[elems], table, out=x)
         rows = max(1, _CHUNK_POINTS // pts.size)
         for start in range(0, he.size, rows):
             chunk = slice(start, start + rows)
@@ -138,12 +155,13 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
         sq = np.empty((2, 2, he.size))
         np.matmul(c, shape, out=fem_v)
         np.matmul(abs_c, abs_shape, out=abs_v)
-        _error_integrals(u, fem_v, abs_v, x, wts, sq[:, 0], peaks)
+        _error_integrals(u, fem_v, abs_v, x, wts, wts4, sq[:, 0], peaks)
         np.matmul(c, slope, out=fem_v)
         np.matmul(abs_c, abs_slope, out=abs_v)
+        hc = he[:, None]
         fem_v /= hc
         abs_v /= hc
-        _error_integrals(du, fem_v, abs_v, x, wts, sq[:, 1])
+        _error_integrals(du, fem_v, abs_v, x, wts, wts4, sq[:, 1])
         sq *= he
         return sq
 

@@ -118,22 +118,24 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
     (b) s = 1 + 2(1-x)/eps has s*E0 <= (1 + 2/eps)*E <= 2^-55, so s*E0 - 1
     rounds to -1; (c) f's diffusion term 2*E0*(2 + 2(1-x)/eps) <= 2^-54 is
     absorbed by 3 - x in [2, 3].
+    -2x/eps and 2(1-x)/eps are computed as x/(-eps/2) and (1-x)/(eps/2), one
+    array pass fewer each: the doublings and eps/2 are exact for
+    eps >= 2^-1021, so both forms are one rounding of the same quotient.
     The problem is immutable, so it is built once per epsilon and shared.
     """
     eps = float(epsilon)
+    half_eps = eps / 2.0
     a_min = math.log(2.0**-56 * eps / (1.0 + eps))
     reach = -eps * a_min / 2.0
 
     def layer_terms(x):
         # E0, u and u' in place, each operation in the order of the formulas.
-        e0 = np.asarray(np.multiply(x, -2.0))
-        e0 /= eps
+        e0 = np.asarray(np.divide(x, -half_eps))
         np.maximum(e0, a_min, out=e0)   # bit-identical on [0, 1]: (a)-(c) in the docstring
         np.exp(e0, out=e0)
         s = 1.0 - x
         u_x = (1.0 - e0) * s
-        s *= 2.0
-        s /= eps
+        s /= half_eps
         s += 1.0
         s *= e0
         s -= 1.0

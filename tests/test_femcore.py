@@ -1,17 +1,19 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from layerfem import (
     ElementSystem,
     Mesh1D,
+    MeshAssumptionWarning,
     MeshFamily,
     MeshSpec,
     PiecewisePolynomial,
@@ -30,6 +32,7 @@ from layerfem import (
 )
 from layerfem import femcore
 from layerfem.femcore import TridiagonalLU
+from layerfem.norms import _quadrature_table
 from oracles import dense_matrix, dense_rhs, derivative
 
 ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.UNIFORM]
@@ -137,6 +140,58 @@ class TestQuadrature:
     def test_rejects_a_rule_without_points(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+
+# Reference points t of 1..64 entries: random, Gauss, composite-panel (the
+# norms' levels) and the nodes j/k.
+_POINT_TABLES = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64).map(np.array),
+    st.integers(1, 64).map(lambda q: gauss_legendre(q)[0]),
+    st.tuples(st.integers(1, 8), st.sampled_from([1, 2, 4, 8])).map(
+        lambda qp: _quadrature_table(1, *qp)[0]
+    ),
+    st.integers(1, 64).map(lambda k: np.arange(k) / k),
+)
+
+
+@st.composite
+def _meshes(draw):
+    if draw(st.integers(0, 9)) == 0:
+        # The first step is subnormal.
+        return generate(MeshSpec("kopteva", 4, 2.0, 1e-320, 1e308))
+    try:
+        spec = MeshSpec(
+            family=draw(st.sampled_from(ALL_FAMILIES)),
+            N=2 * draw(st.integers(2, 2048)),
+            sigma=draw(st.floats(1.0, 6.0)),
+            epsilon=10.0 ** draw(st.floats(-12.0, 0.0)),
+            c1=draw(st.floats(0.5, 5.0)),
+        )
+    except ValueError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshAssumptionWarning)
+        return generate(spec)
+
+
+class TestElementPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(mesh=_meshes(), t=_POINT_TABLES, data=st.data())
+    def test_product_matches_the_broadcast_bit_for_bit(self, mesh, t, data):
+        # All elements, one element (a one-row product) or a sorted subset,
+        # as error_norms' deeper levels take them.
+        elems = data.draw(st.one_of(
+            st.just(np.arange(mesh.N)),
+            st.integers(0, mesh.N - 1).map(lambda e: np.array([e])),
+            st.lists(st.integers(0, mesh.N - 1), min_size=1, unique=True).map(np.sort),
+        ))
+        expected = mesh.nodes[:-1][elems, None] + mesh.steps[elems][:, None] * t
+        rows, table = femcore._element_rows(mesh)[elems], femcore._point_table(t)
+        got = femcore._element_points(rows, table)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        out = np.empty(expected.shape)
+        assert femcore._element_points(rows, table, out=out) is out
+        assert np.array_equal(out, expected)
 
 
 class TestAssembly:

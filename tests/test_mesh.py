@@ -117,6 +117,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
             MeshSpec("roos", 4, 1.0, 5e-324)
 
+    def test_rejects_a_breakpoint_within_rounding_of_one_half(self):
+        # theta = 1/2 - 29*1.5e-18 rounds to 1/2 - 2^-54, so t = 1/2 would fall
+        # in the uniform part, whose node there rounds to 0, below the last
+        # fine node.
+        with pytest.raises(ValueError, match="breakpoint"):
+            MeshSpec("kopteva", 148, 1.0, 2.220446049250313e-16 / 148, 29.0)
+
     def test_breakpoint_constant_near_the_float_limit_builds_the_graded_mesh(self):
         # 2*c1 overflows but c1*eps = 1e-12 does not: theta = 1/2 - 1e-12 is
         # admissible, and x(1/2) = 1 - (1 - x_theta)/(2*(1 - theta)) ~ 2e-12.
