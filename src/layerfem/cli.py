@@ -40,18 +40,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(
-        name: str, summary: str, *, many_meshes: bool = False, k_help: str | None = None
+        name: str, summary: str, *, k_help: str | None = None
     ) -> argparse.ArgumentParser:
         """Add a command; only commands given a ``k_help`` take --k and --problem."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--mesh-type",
-            action="append" if many_meshes else "store",
-            choices=_FAMILY_CHOICES,
-            help="mesh family" + (" (repeatable)" if many_meshes else ""),
-        )
-        # Without --k the mesh is built with the k = 1 defaults; mesh and solve
-        # build one mesh, so _single rejects a second --N or --epsilon.
+        # Every list flag appends; a command that takes one value reads it
+        # through _single, which rejects a repeat.  Only study sweeps families,
+        # and study and verify sweep N and epsilon.
+        families = " (repeatable)" if name == "study" else ""
+        p.add_argument("--mesh-type", action="append", choices=_FAMILY_CHOICES,
+                       help="mesh family" + families)
+        # Without --k the mesh is built with the k = 1 defaults.
         sigma, c1 = ("k+1", "5(k+1)/4") if k_help else (f"{d:g}" for d in defaults_for(1))
         each = " (repeatable)" if name in ("study", "verify") else ""
         p.add_argument("--sigma", type=float, help=f"mesh grading exponent (default {sigma})")
@@ -69,8 +68,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_command("mesh", "generate a mesh and emit it as CSV")
     p_solve = add_command("solve", "solve one configuration and emit sampled values", k_help="polynomial degree")
     p_solve.add_argument("--samples", type=int, default=8, help="sample points per element (default %(default)s)")
-    p_study = add_command("study", "run the convergence sweep",
-                          many_meshes=True, k_help="polynomial degree (repeatable)")
+    p_study = add_command("study", "run the convergence sweep", k_help="polynomial degree (repeatable)")
     p_study.add_argument("--format", choices=["csv", "table"], default="table",
                          help="output format (default %(default)s)")
     add_command("verify", "run mesh and interpolation checks", k_help="polynomial degree (repeatable)")
@@ -116,11 +114,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _single(values, name: str):
     if values is None:
         raise ValueError(f"--{name} is required")
-    if isinstance(values, list):
-        if len(values) != 1:
-            raise ValueError(f"--{name} must be given exactly once for this command")
-        return values[0]
-    return values
+    if len(values) != 1:
+        raise ValueError(f"--{name} must be given exactly once for this command")
+    return values[0]
 
 
 def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> MeshSpec:
@@ -195,7 +191,7 @@ def _cmd_study(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> None:
     # verify's own defaults; the config checks the whole sweep before any mesh is built.
-    family = args.mesh_type or "roos"
+    family = _single(args.mesh_type or ["roos"], "mesh-type")
     config = StudyConfig(
         families=(family,), k_list=tuple(args.k or (1, 2)), sigma=args.sigma, c1=args.c1,
         N_list=tuple(args.N or (64, 128, 256, 512)),

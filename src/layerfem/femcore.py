@@ -16,15 +16,12 @@ import ctypes
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .mesh import Mesh1D
-
-if TYPE_CHECKING:
-    from .problem import TwoPointBVP
+from .problem import TwoPointBVP
 
 __all__ = [
     "shape_tables",
@@ -268,7 +265,7 @@ def _weighted(fn, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(fn(x), weights, out=np.empty(x.shape))
 
 
-def assemble(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> ElementSystem:
+def assemble(bvp: TwoPointBVP, mesh: Mesh1D, degree: int) -> ElementSystem:
     """Assemble the element matrices and loads of the discrete convection-diffusion system.
 
     Entry (i, j) of the global matrix is epsilon*(theta_j', theta_i')
@@ -410,7 +407,7 @@ def solve(system: ElementSystem) -> np.ndarray:
     return x[1:-1]
 
 
-def galerkin_solve(bvp: "TwoPointBVP", mesh: Mesh1D, degree: int) -> PiecewisePolynomial:
+def galerkin_solve(bvp: TwoPointBVP, mesh: Mesh1D, degree: int) -> PiecewisePolynomial:
     """Assemble and solve the discrete problem; returns the solution with the
     homogeneous boundary values reinserted."""
     system = assemble(bvp, mesh, degree)

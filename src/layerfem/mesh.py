@@ -10,6 +10,7 @@ The uniform family is x(t) = t.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -64,7 +65,8 @@ class MeshSpec:
     own conditions only where :func:`generate` uses it (epsilon <= 1/N):
     kopteva needs the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], and the
     layer part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1;
-    kopteva: sigma*eps*ln(1/(2*c1*eps)) < 1).
+    kopteva: sigma*eps*ln(1/(2*c1*eps)) < 1), and a subnormal sigma*eps must
+    leave kopteva's fine nodes -sigma*eps*ln(1 - 2t) distinct in floating point.
     A violated condition raises a ValueError that names it.
     """
 
@@ -118,6 +120,13 @@ class MeshSpec:
                 )
             a, rest = 2.0, 2.0 * c1_eps
             condition = "sigma*eps*ln(1/(2*c1*eps)) < 1"
+            # Only a subnormal sigma*eps has too few bits to keep the fine
+            # nodes apart; they are tested as generate computes them.
+            if self.sigma * eps < sys.float_info.min:
+                t = np.arange(self.N + 1, dtype=float) / self.N
+                if not np.all(np.diff(self._fine_nodes(a, t[t <= theta])) > 0.0):
+                    raise ValueError("kopteva fine nodes -sigma*eps*ln(1 - 2t) must be distinct in "
+                                     f"floating point, got sigma = {self.sigma}, eps = {eps}")
         x_theta = -self.sigma * eps * math.log(rest)
         if not x_theta < 1.0:
             raise ValueError(
@@ -125,6 +134,10 @@ class MeshSpec:
                 f"(sigma = {self.sigma}, eps = {eps})"
             )
         return a, theta, x_theta
+
+    def _fine_nodes(self, a: float, t: np.ndarray) -> np.ndarray:
+        """The graded map's layer part -sigma*eps*ln(1 - a*t) at t <= theta."""
+        return -self.sigma * self.epsilon * np.log(1.0 - a * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +195,7 @@ def generate(spec: MeshSpec) -> Mesh1D:
         a, theta, x_theta = spec._graded_map()
         nodes = np.empty_like(t)
         fine = t <= theta
-        nodes[fine] = -spec.sigma * spec.epsilon * np.log(1.0 - a * t[fine])
+        nodes[fine] = spec._fine_nodes(a, t[fine])
         nodes[~fine] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[~fine])
 
     # Both endpoints are exact by construction; pin them against round-off.

@@ -19,13 +19,14 @@ per element, so one test settles both and one product scales all four by h.
 Its `@ w` products run over exactly the rows of its elements: OpenBLAS's gemv
 blocks by rows, so another grouping of the same rows can move a sum by an ulp.
 A level's points x_i + t_j*h_i are one product of its elements' rows
-(h_i, x_i), stacked once per call, and the cached table [t; 1]: dgemm rounds
+(h_i, x_i), stacked once per call, and the table [t; 1]: dgemm rounds
 as the broadcast does, but a broadcast (n, 1) * (P,) runs n inner loops of
 only P = 16-56 points, 8x slower at n = 2048.  One row or one column would go
 to gemv, which rounds otherwise, so those keep the broadcast
 (femcore._element_points).  The round-off bound (2|d| + delta)*delta is
 integrated as (|d| + delta/2)*(delta/2) against 4w, the same bits with one
 array pass fewer while those factors stay normal (see _error_integrals).
+A level reads all its tables, [t; 1], w, 4w and the shapes, in one cache lookup.
 The energy norm of a piecewise polynomial itself is exact from the reference
 stiffness and mass.
 """
@@ -63,22 +64,15 @@ class ErrorTriple:
 
 
 @functools.lru_cache(maxsize=128)
-def _quadrature_table(degree: int, q: int, panels: int) -> tuple[np.ndarray, ...]:
-    """Points and weights of ``panels`` copies of the q-point Gauss rule stacked
-    on [0, 1], with the shape function values and derivatives there and their
-    absolute values."""
-    points, weights = gauss_legendre(q)
+def _level_table(degree: int, panels: int) -> tuple[np.ndarray, ...]:
+    """``panels`` copies of the (degree + 3)-point Gauss rule stacked on [0, 1]:
+    the (2, P) table [t; 1] of its points t, its weights w and 4*w, and the
+    shape function values and derivatives at t and their absolute values."""
+    points, weights = gauss_legendre(degree + 3)
     pts = ((np.arange(panels, dtype=float)[:, None] + points[None, :]) / panels).ravel()
     wts = np.tile(weights / panels, panels)
     shape, slope = shape_tables(degree, pts)
-    return _frozen(pts, wts, shape, slope, np.abs(shape), np.abs(slope))
-
-
-@functools.lru_cache(maxsize=128)
-def _level_table(degree: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, P) table [t; 1] of a level's points and its weights times 4."""
-    pts, wts = _quadrature_table(degree, degree + 3, panels)[:2]
-    return _frozen(_point_table(pts), 4.0 * wts)
+    return _frozen(_point_table(pts), wts, 4.0 * wts, shape, slope, np.abs(shape), np.abs(slope))
 
 
 def _error_integrals(u, fem, abs_fem, scratch, w, w4, out, peaks=None) -> None:
@@ -138,16 +132,15 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
         # The (2, 2, n) results on ``elems``: an index array, or slice(None)
         # for the whole mesh, whose arrays are then read without copies.
         nonlocal work
-        pts, wts, shape, slope, abs_shape, abs_slope = _quadrature_table(degree, degree + 3, panels)
-        table, wts4 = _level_table(degree, panels)
-        he = h[elems]
-        size = he.size * pts.size
+        table, wts, wts4, shape, slope, abs_shape, abs_slope = _level_table(degree, panels)
+        he, npts = h[elems], table.shape[1]
+        size = he.size * npts
         if work.size < 5 * size:
             work = np.empty(5 * size)
         # x becomes the integrals' scratch once u and u' are in.
-        x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, he.size, pts.size)
+        x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, he.size, npts)
         _element_points(h_left[elems], table, out=x)
-        rows = max(1, _CHUNK_POINTS // pts.size)
+        rows = max(1, _CHUNK_POINTS // npts)
         for start in range(0, he.size, rows):
             chunk = slice(start, start + rows)
             u[chunk], du[chunk] = exact(x[chunk])

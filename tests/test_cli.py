@@ -399,6 +399,17 @@ class TestVerifyCommand:
         assert captured.err == f"error: {rule}\n"
 
 
+@pytest.mark.parametrize("command", ["mesh", "solve", "verify"])
+def test_one_mesh_commands_reject_a_repeated_mesh_type(command, capsys):
+    argv = [command, "--mesh-type", "roos", "--mesh-type", "kopteva",
+            "--N", "16", "--epsilon", "1e-6"]
+    code = main(argv if command == "mesh" else [*argv, "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --mesh-type must be given exactly once for this command\n"
+
+
 def _help(command, flag):
     # The action's own text; rendered --help wraps it by terminal width.
     return cli._build_parser()[1][command]._option_string_actions[flag].help

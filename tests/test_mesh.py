@@ -131,6 +131,35 @@ class TestGenerate:
         assert mesh.spec.family is MeshFamily.KOPTEVA
         assert mesh.nodes[2] == pytest.approx(2e-12, rel=1e-3)
 
+    def test_rejects_a_subnormal_eps_whose_fine_nodes_round_together(self):
+        # sigma*eps = 1e-322 keeps 5 bits: x(t) = -1e-322*ln(1 - 2t) has fewer
+        # distinct values than the 32 fine nodes at N = 64.
+        with pytest.raises(ValueError, match=r"kopteva fine nodes -sigma\*eps\*ln\(1 - 2t\) "
+                                             "must be distinct in floating point"):
+            MeshSpec("kopteva", 64, 1.0, 1e-322, 1e308)
+
+    def test_every_admissible_subnormal_eps_spec_generates(self):
+        # A seeded sample with eps log-uniform over the subnormals and c1*eps
+        # log-uniform from 2e-16 (the breakpoint's floor) up to 1/2, c1 <= 1e308:
+        # a spec is rejected with a named condition or its mesh builds.
+        rng = np.random.default_rng(7)
+        admissible = 0
+        for _ in range(2000):
+            eps = float(10.0 ** rng.uniform(-323.5, -307.7)) or 5e-324
+            N = 2 * int(rng.integers(2, 2049))
+            top = math.log10(0.5) - math.log10(eps)
+            c1 = float(10.0 ** rng.uniform(top - 15.4, min(308.0, top)))
+            try:
+                spec = MeshSpec("kopteva", N, float(rng.uniform(1.0, 50.0)), eps, c1)
+            except ValueError as exc:
+                assert "strictly increasing" not in str(exc)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeshAssumptionWarning)
+                generate(spec)
+            admissible += 1
+        assert admissible > 1000
+
     @settings(max_examples=300, deadline=None)
     @given(
         family=st.sampled_from([MeshFamily.ROOS, MeshFamily.KOPTEVA]),

@@ -29,7 +29,7 @@ from layerfem.norms import (
     _REL_TOL,
     _ROUNDOFF,
     _START_PANELS,
-    _quadrature_table,
+    _level_table,
 )
 from oracles import derivative
 
@@ -254,7 +254,8 @@ def _oracle_norms(fem, exact, epsilon):
         return he * ((diff * diff) @ w), noise, np.max(np.abs(diff))
 
     def level(elems, panels):
-        pts, w, shape, slope, abs_shape, abs_slope = _quadrature_table(k, k + 3, panels)
+        table, w, _, shape, slope, abs_shape, abs_slope = _level_table(k, panels)
+        pts = table[0]
         he, c = h[elems], coeff[elems]
         x = he[:, None] * pts + left[elems, None]
         u, du = (np.broadcast_to(v, x.shape) for v in exact(x))
