@@ -17,7 +17,6 @@ from .femcore import SingularMatrixError, _element_points, _element_rows, _point
 from .mesh import MeshFamily, MeshSpec, check_step_sizes, generate, mesh_to_csv
 from .problem import get_problem
 from .study import (
-    DEFAULT_EPSILONS,
     StudyConfig,
     defaults_for,
     emit,
@@ -119,15 +118,21 @@ def _single(values, name: str):
     return values[0]
 
 
-def _mesh_from_args(args: argparse.Namespace, k: int | None = None) -> MeshSpec:
-    sigma, c1 = defaults_for(k or 1, args.sigma, args.c1)
-    return MeshSpec(
-        N=_single(args.N, "N"),
-        epsilon=_single(args.epsilon, "epsilon"),
-        family=_single(args.mesh_type, "mesh-type"),
-        sigma=sigma,
-        c1=c1,
-    )
+def _config(args: argparse.Namespace, **defaults) -> StudyConfig:
+    """The command's sweep, checked whole; each list flag given replaces its ``defaults`` entry."""
+    flags = {"families": args.mesh_type, "k_list": getattr(args, "k", None),
+             "N_list": args.N, "epsilons": args.epsilon}
+    given = {key: tuple(values) for key, values in flags.items() if values}
+    return StudyConfig(**{**defaults, **given}, sigma=args.sigma, c1=args.c1,
+                       problem=getattr(args, "problem", StudyConfig.problem))
+
+
+def _point(args: argparse.Namespace) -> tuple[MeshSpec, int]:
+    """The mesh and degree of a one-point command; without --k the degree is 1."""
+    for values, name in ((args.N, "N"), (args.epsilon, "epsilon"), (args.mesh_type, "mesh-type")):
+        _single(values, name)
+    [(family, k, sigma, c1, n_intervals, eps)] = _config(args, k_list=(1,)).points()
+    return MeshSpec(family, n_intervals, sigma, eps, c1), k
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -139,12 +144,12 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_mesh(args: argparse.Namespace) -> None:
-    _write_output(args, mesh_to_csv(generate(_mesh_from_args(args))))
+    _write_output(args, mesh_to_csv(generate(_point(args)[0])))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
-    k = _single(args.k, "k")
-    spec = _mesh_from_args(args, k)
+    _single(args.k, "k")   # given once; _point reads it through the config
+    spec, k = _point(args)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     fem, tri = solve_point(args.problem, spec, k)
@@ -165,20 +170,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
 
 
 def _cmd_study(args: argparse.Namespace) -> None:
-    # Repeatable flags that were not given keep StudyConfig's defaults.
-    lists = {
-        "families": args.mesh_type,
-        "k_list": args.k,
-        "N_list": args.N,
-        "epsilons": args.epsilon,
-    }
-    config = StudyConfig(
-        sigma=args.sigma,
-        c1=args.c1,
-        problem=args.problem,
-        **{key: tuple(values) for key, values in lists.items() if values},
-    )
-    result = run_study(config)
+    result = run_study(_config(args))
     failed = [r for r in result.records if r.error is not None]
     for rec in failed:
         print(
@@ -192,11 +184,7 @@ def _cmd_study(args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> None:
     # verify's own defaults; the config checks the whole sweep before any mesh is built.
     family = _single(args.mesh_type or ["roos"], "mesh-type")
-    config = StudyConfig(
-        families=(family,), k_list=tuple(args.k or (1, 2)), sigma=args.sigma, c1=args.c1,
-        N_list=tuple(args.N or (64, 128, 256, 512)),
-        epsilons=tuple(args.epsilon or DEFAULT_EPSILONS), problem=args.problem,
-    )
+    config = _config(args, families=(family,), k_list=(1, 2), N_list=(64, 128, 256, 512))
 
     lines = []
     for k in config.k_list:

@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, _element_points, _element_rows, _point_table
-from .femcore import global_nodes
+from .femcore import PiecewisePolynomial, global_nodes
 from .mesh import Mesh1D
 from .problem import ExactSolution
 
@@ -58,11 +57,10 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
         raise ValueError("interpolant bundle needs an exact solution with an S/E split")
 
     u_i = lagrange_interp(exact.u, mesh, degree)
-    e = mesh.N // 2 - 1
+    # The left endpoint and interior nodes of element N/2 - 1.
+    s = slice((mesh.N // 2 - 1) * degree, mesh.N // 2 * degree)
     corr = np.zeros_like(u_i.coefficients)
-    local = _point_table(np.arange(degree) / degree)
-    nodes = _element_points(_element_rows(mesh)[e : e + 1], local)[0]   # a one-row product
-    corr[e * degree : (e + 1) * degree] = exact.E(nodes)
+    corr[s] = exact.E(global_nodes(mesh, degree)[s])
     return InterpolantBundle(
         u_interp=u_i,
         correction=PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=corr),

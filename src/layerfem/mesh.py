@@ -80,11 +80,11 @@ class MeshSpec:
         object.__setattr__(self, "family", MeshFamily(self.family))
         if self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
-        if self.sigma < 1.0:
+        if not self.sigma >= 1.0:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.c1 is not None and self.c1 <= 0.0:
+        if self.c1 is not None and not self.c1 > 0.0:
             raise ValueError(f"c1 must be positive, got {self.c1}")
         if self.family is MeshFamily.KOPTEVA and self.c1 is None:
             raise ValueError("family 'kopteva' requires the breakpoint constant c1")
@@ -93,8 +93,8 @@ class MeshSpec:
 
     @property
     def graded(self) -> bool:
-        """Whether :func:`generate` uses the graded map; for epsilon > 1/N the
-        layer needs no special resolution and the mesh is uniform."""
+        """Whether :func:`generate` uses the graded map; for epsilon > 1/N it
+        falls back to a uniform mesh, which resolves the layer less well."""
         return self.family is not MeshFamily.UNIFORM and self.epsilon <= 1.0 / self.N
 
     def _graded_map(self) -> tuple[float, float, float]:
@@ -172,8 +172,8 @@ class Mesh1D:
 def generate(spec: MeshSpec) -> Mesh1D:
     """Generate the mesh described by ``spec``.
 
-    When epsilon > 1/N the layer needs no special resolution and a uniform
-    mesh is returned instead; the returned mesh's spec records the fallback.
+    When epsilon > 1/N a uniform mesh is returned instead (see
+    :attr:`MeshSpec.graded`); the returned mesh's spec records the fallback.
     A :class:`MeshAssumptionWarning` is emitted when the breakpoint constant
     exceeds 1/(epsilon*N), in which case the step-size bounds of
     :func:`check_step_sizes` are no longer guaranteed.

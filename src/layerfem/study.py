@@ -58,10 +58,10 @@ class StudyConfig:
 
     Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
     for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
-    any point runs: each degree (``femcore._check_degree``, the one degree rule), the
-    problem name (:func:`get_problem`'s message), each family, and each distinct (N,
-    sigma, epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages).  Only the
-    graded map's own conditions are left to the points, where a violation becomes a failed record.
+    any point runs: the problem name (:func:`get_problem`'s message), each family, each
+    degree (:func:`defaults_for`, the one degree rule), and each distinct (N, sigma,
+    epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages).  Only the graded
+    map's own conditions are left to the points, where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -73,8 +73,6 @@ class StudyConfig:
     problem: str = "layer-test"
 
     def __post_init__(self) -> None:
-        for k in self.k_list:
-            _check_degree(k)
         if not (self.families and self.k_list and self.epsilons and self.N_list != ()):
             raise ValueError("families, k_list, N_list and epsilons must be nonempty")
         if self.problem not in _PROBLEMS:

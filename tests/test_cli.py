@@ -104,6 +104,15 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--N", "5"], ["--N", "8", "--samples", "0"]])
+    def test_problem_is_checked_first_as_study_and_verify_do(self, flags, capsys):
+        code = main(["solve", "--mesh-type", "roos", "--k", "2", "--epsilon", "1e-6",
+                     *flags, "--problem", "nope"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: unknown problem 'nope'; available: layer-test\n"
+
     def test_kopteva_above_the_graded_range_solves_on_the_uniform_mesh(self, capsys):
         # eps = 0.1 > 1/N: the breakpoint 1/2 - 5*0.1 = 0 is never used.
         outputs = []
@@ -156,6 +165,27 @@ class TestSolveCommand:
         assert captured.err == "numerical failure: zero or non-finite pivot at elimination step 3\n"
 
 
+@pytest.mark.parametrize(
+    "flag,rule",
+    [("--sigma", "sigma must be >= 1, got nan"), ("--c1", "c1 must be positive, got nan")],
+    ids=["sigma", "c1"],
+)
+@pytest.mark.parametrize("command", ["mesh", "solve", "study", "verify"])
+def test_every_command_rejects_a_nan_mesh_parameter_before_any_mesh_is_built(
+    command, flag, rule, monkeypatch, capsys
+):
+    built = []
+    for module in ("cli", "study"):
+        monkeypatch.setattr(f"layerfem.{module}.generate", built.append)
+    argv = [command, "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-6", flag, "nan"]
+    code = main(argv if command == "mesh" else [*argv, "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert built == []
+    assert captured.out == ""
+    assert captured.err == f"error: {rule}\n"
+
+
 @pytest.mark.parametrize("k", ["0", "-1", "11"])
 @pytest.mark.parametrize(
     "argv",
@@ -198,6 +228,7 @@ class TestStudyCommand:
             (["--problem", "nope"], "unknown problem 'nope'"),
             (["--sigma", "0.5"], "sigma must be >= 1, got 0.5"),
             (["--c1", "-1"], "c1 must be positive, got -1.0"),
+            (["--k", "0", "--problem", "nope"], "unknown problem 'nope'"),
         ],
     )
     def test_invalid_sweep_fails_before_any_point_runs(self, flags, rule, monkeypatch, capsys):

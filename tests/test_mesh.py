@@ -90,6 +90,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match="even"):
             MeshSpec(family=MeshFamily.ROOS, N=2, sigma=2.0, epsilon=0.01)
 
+    @pytest.mark.parametrize("family", list(MeshFamily))
+    @pytest.mark.parametrize(
+        "sigma,c1,message",
+        [(math.nan, 2.5, "sigma must be >= 1, got nan"), (2.0, math.nan, "c1 must be positive, got nan")],
+        ids=["sigma", "c1"],
+    )
+    def test_rejects_a_nan_sigma_or_c1_by_name(self, family, sigma, c1, message):
+        # NaN fails every comparison, so each rule is written as "not valid";
+        # at eps = 0.5 > 1/N no graded map runs to catch it later.
+        with pytest.raises(ValueError, match=message):
+            MeshSpec(family=family, N=8, sigma=sigma, epsilon=0.5, c1=c1)
+
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(ValueError, match="breakpoint"):
             MeshSpec(family=MeshFamily.KOPTEVA, N=8, sigma=2.0, epsilon=0.01, c1=60.0)
