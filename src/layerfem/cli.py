@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
 from .femcore import SingularMatrixError, _element_points, _element_rows, _point_table
-from .mesh import MeshFamily, MeshSpec, check_step_sizes, generate, mesh_to_csv
+from .mesh import MeshFamily, check_step_sizes, generate, mesh_to_csv
 from .problem import get_problem
 from .study import (
     StudyConfig,
+    _spec,
     defaults_for,
     emit,
     format_error,
@@ -127,12 +129,12 @@ def _config(args: argparse.Namespace, **defaults) -> StudyConfig:
                        problem=getattr(args, "problem", StudyConfig.problem))
 
 
-def _point(args: argparse.Namespace) -> tuple[MeshSpec, int]:
-    """The mesh and degree of a one-point command; without --k the degree is 1."""
+def _point(args: argparse.Namespace):
+    """The mesh spec and degree of a one-point command; without --k the degree is 1."""
     for values, name in ((args.N, "N"), (args.epsilon, "epsilon"), (args.mesh_type, "mesh-type")):
         _single(values, name)
-    [(family, k, sigma, c1, n_intervals, eps)] = _config(args, k_list=(1,)).points()
-    return MeshSpec(family, n_intervals, sigma, eps, c1), k
+    [point] = _config(args, k_list=(1,)).points()
+    return _spec(point)
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -186,25 +188,18 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     family = _single(args.mesh_type or ["roos"], "mesh-type")
     config = _config(args, families=(family,), k_list=(1, 2), N_list=(64, 128, 256, 512))
 
+    failed: dict[int, list[str]] = {k: [] for k in config.k_list}
+    for point in config.points():
+        spec, k = _spec(point)
+        checks = check_step_sizes(generate(spec))
+        if not checks.all_bounds_hold:
+            failed[k].append(f"  FAIL N={spec.N} epsilon={spec.epsilon}: {checks}")
     lines = []
-    for k in config.k_list:
-        sigma, c1 = config.sigma_for(k), config.c1_for(k)
-        lines.append(f"mesh step-size checks ({family}, k = {k}, sigma = {sigma:g}, c1 = {c1:g})")
-        all_hold = True
-        for eps in config.epsilons:
-            for n_intervals in config.N_list:
-                spec = MeshSpec(
-                    family=family,
-                    N=n_intervals,
-                    sigma=sigma,
-                    epsilon=eps,
-                    c1=c1,
-                )
-                checks = check_step_sizes(generate(spec))
-                all_hold = all_hold and checks.all_bounds_hold
-                if not checks.all_bounds_hold:
-                    lines.append(f"  FAIL N={n_intervals} epsilon={eps}: {checks}")
-        lines.append(f"  all step-size bounds hold: {'yes' if all_hold else 'NO'}")
+    for k, fails in failed.items():
+        lines.append(f"mesh step-size checks ({family}, k = {k}, "
+                     f"sigma = {config.sigma_for(k):g}, c1 = {config.c1_for(k):g})")
+        lines += fails
+        lines.append(f"  all step-size bounds hold: {'NO' if fails else 'yes'}")
     lines.append("")
 
     for k in config.k_list:
@@ -241,21 +236,31 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parse_args(argv)
-        _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags and 0 on --help; map bad flags to 1.
-        return 0 if exc.code in (0, None) else 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SingularMatrixError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 3
+    shown: set[str] = set()
+
+    def show(message, *_) -> None:
+        # A warning the filters let through is one "warning: ..." line, once per message.
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            args = _parse_args(argv)
+            _COMMANDS[args.command](args)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags and 0 on --help; map bad flags to 1.
+            return 0 if exc.code in (0, None) else 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (SingularMatrixError, ArithmeticError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"i/o failure: {exc}", file=sys.stderr)
+            return 3
     return 0
 
 

@@ -62,8 +62,9 @@ class MeshSpec:
         t = 1/2 - c1*epsilon.  Required for KOPTEVA.
 
     N, sigma, epsilon and c1 are checked for every family; the graded map's
-    own conditions only where :func:`generate` uses it (epsilon <= 1/N):
-    kopteva needs the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], and the
+    own conditions only where :func:`generate` uses it (epsilon <= 1/N): roos
+    needs 1 - eps < 1 in floating point (false for eps <= 2^-54 ~ 5.55e-17),
+    kopteva the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], and the
     layer part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1;
     kopteva: sigma*eps*ln(1/(2*c1*eps)) < 1), and a subnormal sigma*eps must
     leave kopteva's fine nodes -sigma*eps*ln(1 - 2t) distinct in floating point.

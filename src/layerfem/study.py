@@ -4,7 +4,8 @@ Sweeps (mesh family, degree, N, epsilon) over a benchmark problem, records
 the three error norms of each run (one :func:`solve_point`), aggregates the
 uniform error e^N = max_epsilon ||u - u^N||_eps and the rates
 r^N = log2(e^N / e^{2N}), and renders the results as CSV or an aligned text
-table.
+table.  :func:`interpolation_study` sweeps the interpolant the same way, one
+:func:`interpolate_point` per point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "StudyResult",
     "run_study",
     "solve_point",
+    "interpolate_point",
     "aggregate",
     "emit",
     "format_error",
@@ -60,8 +62,9 @@ class StudyConfig:
     for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
     any point runs: the problem name (:func:`get_problem`'s message), each family, each
     degree (:func:`defaults_for`, the one degree rule), and each distinct (N, sigma,
-    epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages).  Only the graded
-    map's own conditions are left to the points, where a violation becomes a failed record.
+    epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages), then that no list
+    repeats an entry.  Only the graded map's own conditions are left to the points,
+    where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -81,6 +84,11 @@ class StudyConfig:
             MeshFamily(family)
         for sigma, c1, n_intervals, eps in dict.fromkeys(p[2:] for p in self.points()):
             MeshSpec(MeshFamily.UNIFORM, n_intervals, sigma, eps, c1)
+        for name in ("families", "k_list", "N_list", "epsilons"):
+            values = list(getattr(self, name) or ())
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats {value}")
 
     def sigma_for(self, k: int) -> float:
         return defaults_for(k, self.sigma, self.c1)[0]
@@ -143,7 +151,13 @@ class StudyResult:
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full sweep; individual failures are recorded, not raised."""
-    return StudyResult(records=[_single_run(config.problem, *point) for point in config.points()])
+    return StudyResult(records=[_single_run(config.problem, point) for point in config.points()])
+
+
+def _spec(point: tuple[str, int, float, float, int, float]) -> tuple[MeshSpec, int]:
+    """The mesh spec and degree of one :meth:`StudyConfig.points` entry."""
+    family, k, sigma, c1, n_intervals, eps = point
+    return MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1), k
 
 
 def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:
@@ -160,18 +174,23 @@ def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomi
     return fem, error_norms(fem, bvp.exact.u_and_prime, spec.epsilon)
 
 
-def _single_run(
-    problem: str, family: str, k: int, sigma: float, c1: float, n_intervals: int, eps: float
-) -> ConvergenceRecord:
+def interpolate_point(problem: str, spec: MeshSpec, k: int) -> tuple[ErrorTriple, float]:
+    """Error norms of the degree-``k`` interpolant u^I on ``spec``'s mesh and the energy
+    norm of its layer correction: the one chain of :func:`interpolation_study`."""
+    bvp = get_problem(problem, spec.epsilon)
+    bundle = build_bundle(bvp.exact, generate(spec), k)
+    tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, spec.epsilon)
+    return tri, polynomial_energy_norm(bundle.correction, spec.epsilon)
+
+
+def _single_run(problem: str, point: tuple[str, int, float, float, int, float]) -> ConvergenceRecord:
+    family, k, sigma, _, n_intervals, eps = point
     try:
-        spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
-        _, tri = solve_point(problem, spec, k)
+        _, tri = solve_point(problem, *_spec(point))
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         nan = float("nan")
         return ConvergenceRecord(family, k, sigma, n_intervals, eps, nan, nan, nan, str(exc))
-    return ConvergenceRecord(
-        family, k, sigma, n_intervals, eps, tri.e_inf, tri.e_l2, tri.e_energy
-    )
+    return ConvergenceRecord(family, k, sigma, n_intervals, eps, tri.e_inf, tri.e_l2, tri.e_energy)
 
 
 def aggregate(records: list[ConvergenceRecord]) -> list[AggregateRow]:
@@ -298,20 +317,13 @@ def interpolation_study(
 ) -> list[InterpolationRow]:
     """Measure interpolation errors of u - u^I and the layer correction.
 
-    Used by the ``verify`` CLI command and the interpolation-rate checks;
-    sigma and c1 default to :func:`defaults_for`.
+    Used by the ``verify`` CLI command and the interpolation-rate checks.  The sweep
+    is a one-family, one-degree :class:`StudyConfig`, checked whole before any mesh.
     """
-    sigma, c1 = defaults_for(k, sigma, c1)
-
-    rows = []
-    for n_intervals in n_values:
-        worst = [0.0] * 4
-        for eps in epsilons:
-            bvp = get_problem(problem, eps)
-            spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
-            bundle = build_bundle(bvp.exact, generate(spec), k)
-            tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, eps)
-            corr = polynomial_energy_norm(bundle.correction, eps)
-            worst = [max(w, v) for w, v in zip(worst, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
-        rows.append(InterpolationRow(k, n_intervals, *worst))
-    return rows
+    worst: dict[int, list[float]] = {}
+    for point in StudyConfig((family,), (k,), sigma, c1, n_values, epsilons, problem).points():
+        spec, _ = _spec(point)
+        tri, corr = interpolate_point(problem, spec, k)
+        prev = worst.get(spec.N, [0.0] * 4)
+        worst[spec.N] = [max(w, v) for w, v in zip(prev, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
+    return [InterpolationRow(k, n_intervals, *w) for n_intervals, w in worst.items()]

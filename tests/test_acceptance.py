@@ -11,10 +11,14 @@ line per criterion (visible with ``pytest -s`` or on failure):
   6. interpolation error rates (max, energy, correction energy)
   7. independent oracle suites (assembly, condensed solve vs dense LU,
      Galerkin exactness, quadrature closed form)
+
+and checks the 408 default points bit for bit against ``bit_record.json``.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from layerfem import (
     error_norms,
     galerkin_solve,
     generate,
+    interpolate_point,
     layer_test_problem,
     run_study,
     solve,
@@ -99,6 +104,52 @@ def sweep():
     elapsed = time.perf_counter() - start
     assert not any(r.error for r in result.records)
     return result, elapsed
+
+
+BIT_RECORD = Path(__file__).with_name("bit_record.json")
+RECORD_FIELDS = ("e_inf", "e_l2", "e_energy", "correction_energy")
+
+
+def test_bit_identity_record(sweep):
+    """The 408 default points keep the bits written by ``tools/bit_record.py``.
+
+    The bits depend on numpy, its BLAS and the CPU, so a failure reports the
+    numpy versions and the size of the moves: a tiny move on another platform
+    is not by itself a regression.
+    """
+    record = json.loads(BIT_RECORD.read_text(encoding="utf-8"))
+    key = lambda family, k, n_intervals, eps: f"{family},{k},{n_intervals},{eps!r}"
+    config = StudyConfig()
+    now = {
+        "galerkin": {key(r.family, r.k, r.N, r.epsilon): (r.e_inf, r.e_l2, r.e_energy)
+                     for r in sweep[0].records},
+        "interpolant": {},
+    }
+    for family, k, sigma, c1, n_intervals, eps in config.points():
+        spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
+        tri, corr = interpolate_point(config.problem, spec, k)
+        now["interpolant"][key(family, k, n_intervals, eps)] = (
+            tri.e_inf, tri.e_l2, tri.e_energy, corr
+        )
+    failures, moves, total = [], [], 0
+    for part, values in now.items():
+        if values.keys() != record[part].keys():
+            failures.append(f"{part}: the points differ from the record's")
+            continue
+        for point, new in values.items():
+            for name, value, ref in zip(RECORD_FIELDS, new, record[part][point]):
+                total += 1
+                if value.hex() != ref:
+                    ref = float.fromhex(ref)
+                    rel = abs(value - ref) / abs(ref) if ref else math.inf
+                    moves.append((math.inf if math.isnan(rel) else rel, f"{part} {point} {name}"))
+    if moves:
+        largest, where = max(moves)
+        failures.append(
+            f"{len(moves)} of {total} values moved; largest relative move {largest:.3g} at "
+            f"{where} (numpy {np.__version__}, record made with numpy {record['numpy']})"
+        )
+    _finish(f"bit identity ({total} values of {BIT_RECORD.name})", failures)
 
 
 def _check_table(result, table, e_tol, relaxed):

@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from layerfem import (
+    MeshAssumptionWarning,
     MeshSpec,
     SingularMatrixError,
     StudyConfig,
@@ -229,6 +231,10 @@ class TestStudyCommand:
             (["--sigma", "0.5"], "sigma must be >= 1, got 0.5"),
             (["--c1", "-1"], "c1 must be positive, got -1.0"),
             (["--k", "0", "--problem", "nope"], "unknown problem 'nope'"),
+            (["--mesh-type", "roos"], "families repeats roos"),
+            (["--k", "1"], "k_list repeats 1"),
+            (["--N", "8"], "N_list repeats 8"),
+            (["--epsilon", "1e-6"], "epsilons repeats 1e-06"),
         ],
     )
     def test_invalid_sweep_fails_before_any_point_runs(self, flags, rule, monkeypatch, capsys):
@@ -409,14 +415,27 @@ class TestVerifyCommand:
             "  all step-size bounds hold: NO",
         ]
 
+    def test_fail_lines_follow_the_sweep_order(self, capsys):
+        # One degree's FAIL lines run N first, then epsilon, as StudyConfig.points() does.
+        code = main(["verify", "--mesh-type", "roos", "--k", "1", "--sigma", "3.157",
+                     "--N", "12", "--N", "20", "--epsilon", "0.06", "--epsilon", "0.06875"])
+        assert code == 0
+        fails = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  FAIL")]
+        assert fails == ["  FAIL N=12 epsilon=0.06", "  FAIL N=12 epsilon=0.06875",
+                         "  FAIL N=20 epsilon=0.06", "  FAIL N=20 epsilon=0.06875"]
+
     @pytest.mark.parametrize(
         "flags,rule",
         [
             (["--problem", "foo"], "unknown problem 'foo'; available: layer-test"),
             (["--k", "1", "--k", "-1"], "polynomial degree must lie in 1..10, got -1"),
             (["--epsilon", "1e-6", "--epsilon", "2"], "epsilon must lie in (0, 1), got 2.0"),
+            (["--k", "2", "--k", "2"], "k_list repeats 2"),
+            (["--N", "8"], "N_list repeats 8"),
+            (["--epsilon", "1e-6", "--epsilon", "1e-6"], "epsilons repeats 1e-06"),
         ],
-        ids=["problem", "degree", "epsilon"],
+        ids=["problem", "degree", "epsilon", "repeated-k", "repeated-N", "repeated-epsilon"],
     )
     def test_invalid_sweep_fails_before_any_mesh_is_built(self, flags, rule, monkeypatch, capsys):
         built = []
@@ -428,6 +447,23 @@ class TestVerifyCommand:
         assert built == []
         assert captured.out == ""
         assert captured.err == f"error: {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve", "study", "verify"])
+def test_every_command_prints_a_mesh_warning_as_one_line(command, capsys):
+    argv = [command, "--mesh-type", "kopteva", "--N", "16", "--epsilon", "1e-3", "--c1", "400"]
+    argv = argv if command == "mesh" else [*argv, "--k", "1"]
+    assert main(argv) == 0
+    # verify warns from its step-size check and from its interpolation table: one line.
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("e_inf=")]
+    assert lines == ["warning: breakpoint constant 400.0 exceeds 1/(epsilon*N) = 62.5; "
+                     "step-size bounds may fail"]
+    # Only the display changed: a filter that makes the warning an error still raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MeshAssumptionWarning)
+        with pytest.raises(MeshAssumptionWarning):
+            main(argv)
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve", "verify"])

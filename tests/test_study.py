@@ -20,6 +20,9 @@ from layerfem import (
     generate,
     get_problem,
     aggregate,
+    build_bundle,
+    interpolate_point,
+    polynomial_energy_norm,
     run_study,
     solve_point,
 )
@@ -84,6 +87,19 @@ class TestConfig:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             StudyConfig(families=("shishkin",))
+
+    @pytest.mark.parametrize(
+        "name,values,rule",
+        [
+            ("families", ("roos", "kopteva", "roos"), "families repeats roos"),
+            ("k_list", (1, 2, 1), "k_list repeats 1"),
+            ("N_list", (16, 8, 16), "N_list repeats 16"),
+            ("epsilons", (1e-6, 1e-8, 1e-6), "epsilons repeats 1e-06"),
+        ],
+    )
+    def test_rejects_a_repeated_entry_naming_the_list(self, name, values, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            small_config(**{name: values})
 
     @pytest.mark.parametrize("name,value", [("sigma", 0.5), ("c1", -1.0)])
     def test_rejects_mesh_parameter_with_the_mesh_spec_message(self, name, value):
@@ -364,7 +380,46 @@ class TestFittedRate:
             fitted_rate([1.0])
 
 
+class TestInterpolatePoint:
+    @pytest.mark.parametrize(
+        "family,k,eps",
+        [(family, k, 1e-8) for family in ("roos", "kopteva") for k in (1, 2, 3, 4)]
+        + [("roos", 2, 0.1)],   # eps > 1/N: the uniform fallback
+    )
+    def test_matches_the_chain_it_runs_bit_for_bit(self, family, k, eps):
+        sigma, c1 = defaults_for(k)
+        spec = MeshSpec(family=family, N=16, sigma=sigma, epsilon=eps, c1=c1)
+        tri, corr = interpolate_point("layer-test", spec, k)
+
+        exact = get_problem("layer-test", eps).exact
+        bundle = build_bundle(exact, generate(spec), k)
+        ref_tri = error_norms(bundle.u_interp, exact.u_and_prime, eps)
+        ref_corr = polynomial_energy_norm(bundle.correction, eps)
+        hexes = lambda t, c: [t.e_inf.hex(), t.e_l2.hex(), t.e_energy.hex(), c.hex()]
+        assert hexes(tri, corr) == hexes(ref_tri, ref_corr)
+        [row] = interpolation_study(family, k, (16,), (eps,))
+        assert [row.u_inf, row.u_l2, row.u_energy, row.correction_energy] == [
+            tri.e_inf, tri.e_l2, tri.e_energy, corr
+        ]
+
+    def test_problem_without_exact_solution_raises(self, no_exact_problem):
+        spec = MeshSpec(family="roos", N=8, sigma=2.0, epsilon=1e-6)
+        with pytest.raises(ValueError, match="exact solution"):
+            interpolate_point(no_exact_problem, spec, 1)
+
+
 class TestInterpolationStudy:
+    @pytest.mark.parametrize(
+        "n_values,rule",
+        [((8, 9), "N must be an even integer >= 4, got 9"), ((8, 16, 8), "N_list repeats 8")],
+    )
+    def test_invalid_sweep_fails_before_any_mesh_is_built(self, n_values, rule, monkeypatch):
+        built = []
+        monkeypatch.setattr(study, "generate", built.append)
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            interpolation_study("roos", 1, n_values)
+        assert built == []
+
     def test_columns_positive_and_decreasing(self):
         rows = interpolation_study("roos", 1, (8, 16), epsilons=(1e-6,))
         assert len(rows) == 2
