@@ -156,10 +156,19 @@ def _element_points(rows: np.ndarray, table: np.ndarray, out=None) -> np.ndarray
     return np.matmul(rows, table, out=out)
 
 
+@functools.lru_cache(maxsize=16)
+def _node_table(degree: int) -> np.ndarray:
+    """The read-only (2, k) table [j/k; 1] of an element's nodes but its right end."""
+    return _frozen(_point_table(np.arange(degree) / degree))[0]
+
+
 def global_nodes(mesh: Mesh1D, degree: int) -> np.ndarray:
     """Coordinates of the k*N + 1 global nodes x_i + (j/k)*h_i, left to right."""
-    inner = _element_points(_element_rows(mesh), _point_table(np.arange(degree) / degree))
-    return np.append(inner.ravel(), mesh.nodes[-1])
+    nodes = np.empty(degree * mesh.N + 1)
+    inner = nodes[:-1].reshape(mesh.N, degree)
+    _element_points(_element_rows(mesh), _node_table(degree), out=inner)
+    nodes[-1] = mesh.nodes[-1]
+    return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +195,11 @@ class PiecewisePolynomial:
 
     def element_coefficients(self) -> np.ndarray:
         """Coefficients per element as an (N, k+1) array (shared nodes duplicated)."""
-        k = self.degree
-        idx = k * np.arange(self.mesh.N)[:, None] + np.arange(k + 1)[None, :]
-        return self.coefficients[idx]
+        k, n_elem = self.degree, self.mesh.N
+        out = np.empty((n_elem, k + 1))
+        out[:, :k] = self.coefficients[:-1].reshape(n_elem, k)
+        out[:, k] = self.coefficients[k::k]
+        return out
 
     def evaluate(self, x):
         """Evaluate at x (scalar or array)."""

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .femcore import PiecewisePolynomial, global_nodes
+from .femcore import PiecewisePolynomial, _element_points, _node_table, global_nodes
 from .mesh import Mesh1D
 from .problem import ExactSolution
 
@@ -57,10 +57,11 @@ def build_bundle(exact: ExactSolution, mesh: Mesh1D, degree: int) -> Interpolant
         raise ValueError("interpolant bundle needs an exact solution with an S/E split")
 
     u_i = lagrange_interp(exact.u, mesh, degree)
-    # The left endpoint and interior nodes of element N/2 - 1.
-    s = slice((mesh.N // 2 - 1) * degree, mesh.N // 2 * degree)
+    # The left endpoint and interior nodes of element m = N/2 - 1.
+    m = mesh.N // 2 - 1
     corr = np.zeros_like(u_i.coefficients)
-    corr[s] = exact.E(global_nodes(mesh, degree)[s])
+    row = np.array([[mesh.steps[m], mesh.nodes[m]]])
+    corr[m * degree : (m + 1) * degree] = exact.E(_element_points(row, _node_table(degree))[0])
     return InterpolantBundle(
         u_interp=u_i,
         correction=PiecewisePolynomial(mesh=mesh, degree=degree, coefficients=corr),

@@ -195,9 +195,9 @@ def generate(spec: MeshSpec) -> Mesh1D:
             )
         a, theta, x_theta = spec._graded_map()
         nodes = np.empty_like(t)
-        fine = t <= theta
-        nodes[fine] = spec._fine_nodes(a, t[fine])
-        nodes[~fine] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[~fine])
+        m = np.searchsorted(t, theta, "right")   # t is increasing: t[:m] <= theta
+        nodes[:m] = spec._fine_nodes(a, t[:m])
+        nodes[m:] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[m:])
 
     # Both endpoints are exact by construction; pin them against round-off.
     nodes[0] = 0.0

@@ -182,10 +182,12 @@ def polynomial_energy_norm(fem: PiecewisePolynomial, epsilon: float) -> float:
     coefficient, with K and M the reference stiffness and mass; k + 1 Gauss
     points integrate both exactly.
     """
-    k = fem.degree
-    coeff = fem.element_coefficients()
-    elems = np.flatnonzero(np.any(coeff != 0.0, axis=1))
-    c, h = coeff[elems], fem.mesh.steps[elems]
+    k, n_elem = fem.degree, fem.mesh.N
+    # Coefficient i lies on elements (i - 1)//k and i//k, clipped to 0..N - 1.
+    nonzero, touched = np.flatnonzero(fem.coefficients), np.zeros(n_elem, dtype=bool)
+    touched[np.maximum(nonzero - 1, 0) // k] = touched[np.minimum(nonzero // k, n_elem - 1)] = True
+    elems = np.flatnonzero(touched)
+    c, h = fem.coefficients[k * elems[:, None] + np.arange(k + 1)], fem.mesh.steps[elems]
     stiff, _, mass, _ = _element_tables(k, k + 1)
     pairs = (c[:, :, None] * c[:, None, :]).reshape(elems.size, (k + 1) ** 2)
     energy = epsilon * (pairs @ stiff) / h + h * (pairs @ (gauss_legendre(k + 1)[1] @ mass))

@@ -1,13 +1,15 @@
 """Reference code that only the tests read: the assembled system as a dense
 matrix and right-hand side, the first derivative of a piecewise polynomial,
-the two graded maps as written before they shared one generating function,
-and the rate fit over a sequence of errors."""
+the energy norm of a piecewise polynomial by a scan of the whole mesh, the
+two graded maps as written before they shared one generating function, and
+the rate fit over a sequence of errors."""
 
 import math
 
 import numpy as np
 
-from layerfem import ElementSystem, PiecewisePolynomial, shape_tables
+from layerfem import ElementSystem, PiecewisePolynomial, gauss_legendre, shape_tables
+from layerfem.femcore import _element_tables
 
 
 def dense_matrix(system: ElementSystem) -> np.ndarray:
@@ -47,6 +49,19 @@ def derivative(poly: PiecewisePolynomial, x):
         out += poly.coefficients[k * elems + a] * row
     out /= h
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+
+def whole_mesh_energy_norm(poly: PiecewisePolynomial, epsilon: float) -> float:
+    """:func:`~layerfem.polynomial_energy_norm` as it found its elements: an
+    (N, k+1) gather of every element's coefficients, scanned for a nonzero one."""
+    k, n_elem = poly.degree, poly.mesh.N
+    coeff = poly.coefficients[k * np.arange(n_elem)[:, None] + np.arange(k + 1)]
+    elems = np.flatnonzero(np.any(coeff != 0.0, axis=1))
+    c, h = coeff[elems], poly.mesh.steps[elems]
+    stiff, _, mass, _ = _element_tables(k, k + 1)
+    pairs = (c[:, :, None] * c[:, None, :]).reshape(elems.size, (k + 1) ** 2)
+    energy = epsilon * (pairs @ stiff) / h + h * (pairs @ (gauss_legendre(k + 1)[1] @ mass))
+    return math.sqrt(float(np.sum(energy)))
 
 
 def roos_map(t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:

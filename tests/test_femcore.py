@@ -193,6 +193,25 @@ class TestElementPoints:
         assert np.array_equal(out, expected)
 
 
+class TestGlobalNodes:
+    @settings(max_examples=20, deadline=None)
+    @given(mesh=_meshes())
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_nodes_are_the_element_points_bit_for_bit(self, k, mesh):
+        # k = 1 is a one-column table, which takes the broadcast.
+        rows, table = femcore._element_rows(mesh), femcore._point_table(np.arange(k) / k)
+        expected = np.append(femcore._element_points(rows, table).ravel(), 1.0)
+        assert np.array_equal(global_nodes(mesh, k), expected)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_node_table_is_cached_read_only(self, k):
+        table = femcore._node_table(k)
+        assert femcore._node_table(k) is table
+        assert np.array_equal(table, femcore._point_table(np.arange(k) / k))
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+
 class TestAssembly:
     def test_hat_function_matrix_by_hand(self):
         # k=1 on a uniform mesh of 4 elements with eps=1, b=2, c=1.  Exact
@@ -790,3 +809,13 @@ class TestPiecewisePolynomial:
         assert table.shape == (8, 3)
         np.testing.assert_array_equal(table[0], coeff[0:3])
         np.testing.assert_array_equal(table[1], coeff[2:5])
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_element_coefficients_are_the_index_gather(self, k):
+        poly, _, coeff = self._example(k)
+        table = poly.element_coefficients()
+        expected = coeff[k * np.arange(poly.mesh.N)[:, None] + np.arange(k + 1)]
+        assert table.shape == expected.shape and np.array_equal(table, expected)
+        # A fresh array, as the gather returns: writable, C-contiguous, no view.
+        assert table.flags.writeable and table.flags.c_contiguous
+        assert not np.shares_memory(table, poly.coefficients)

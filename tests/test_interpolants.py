@@ -155,6 +155,23 @@ class TestBundle:
             bundle.corrected_interp.coefficients, bundle.u_interp.coefficients
         )
 
+    @pytest.mark.parametrize("family", [MeshFamily.ROOS, MeshFamily.KOPTEVA])
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_correction_nodes_are_the_global_nodes_bit_for_bit(self, family, k):
+        # With E(x) = x the correction holds the k correction nodes themselves.
+        arr = lambda x: np.asarray(x, dtype=float)
+        exact = ExactSolution(
+            u_and_prime=lambda x: (arr(x), np.ones_like(arr(x))),
+            S=lambda x: np.zeros_like(arr(x)),
+            E=arr,
+        )
+        mesh = layer_mesh(N=64, sigma=k + 1.0, family=family)
+        expected = np.zeros(k * mesh.N + 1)
+        s = slice((mesh.N // 2 - 1) * k, mesh.N // 2 * k)
+        expected[s] = global_nodes(mesh, k)[s]
+        correction = build_bundle(exact, mesh, k).correction.coefficients
+        assert np.array_equal(correction, expected)
+
     def test_rejects_missing_exact(self):
         mesh = layer_mesh(N=8)
         with pytest.raises(ValueError, match="exact"):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerfem import (
@@ -30,6 +30,20 @@ def roos_spec(N=8, sigma=2.0, eps=0.01):
 
 def kopteva_spec(N=8, sigma=2.0, eps=0.01, c1=2.5):
     return MeshSpec(family=MeshFamily.KOPTEVA, N=N, sigma=sigma, epsilon=eps, c1=c1)
+
+
+def with_breakpoint_examples(test):
+    """``test`` with kopteva specs whose breakpoint 1/2 - c1*eps is a grid point i/N
+    or one ulp either side of it as explicit examples: the only places where a
+    search for the fine part and a mask t <= theta could disagree.  eps is a power
+    of two and 1/4 <= theta < 1/2, so c1 = (1/2 - theta)/eps and 1/2 - c1*eps are exact."""
+    for N, i, eps in ((8, 3, 2.0**-4), (16, 5, 2.0**-6), (64, 31, 2.0**-10), (1024, 300, 2.0**-20)):
+        for theta in (np.nextafter(i / N, 0.0), i / N, np.nextafter(i / N, 1.0)):
+            c1 = (0.5 - float(theta)) / eps
+            assert 0.5 - c1 * eps == theta
+            spec = dict(family=MeshFamily.KOPTEVA, N=N, sigma=2.0, eps_fraction=eps * N, c1=c1)
+            test = example(**spec)(test)
+    return test
 
 
 class TestGenerate:
@@ -180,6 +194,7 @@ class TestGenerate:
         eps_fraction=st.floats(0.0, 1.0, exclude_min=True),
         c1=st.floats(0.01, 50.0),
     )
+    @with_breakpoint_examples
     def test_graded_nodes_match_the_separate_maps_bit_for_bit(
         self, family, N, sigma, eps_fraction, c1
     ):

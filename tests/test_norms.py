@@ -31,7 +31,7 @@ from layerfem.norms import (
     _START_PANELS,
     _level_table,
 )
-from oracles import derivative
+from oracles import derivative, whole_mesh_energy_norm
 
 
 def pair(f, df):
@@ -435,6 +435,43 @@ class TestPolynomialEnergyNorm:
         mesh = uniform_mesh(4)
         zero = PiecewisePolynomial(mesh=mesh, degree=3, coefficients=np.zeros(13))
         assert polynomial_energy_norm(zero, 0.1) == 0.0
+
+    @staticmethod
+    def _assert_matches_the_whole_mesh_scan(fem, eps):
+        got, expected = polynomial_energy_norm(fem, eps), whole_mesh_energy_norm(fem, eps)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["uniform", "roos", "kopteva"]),
+        k=st.integers(1, 10),
+        N=st.integers(2, 32).map(lambda n: 2 * n),
+        eps=st.sampled_from([1e-2, 1e-6, 1e-9]),
+        data=st.data(),
+    )
+    def test_matches_the_whole_mesh_scan_bit_for_bit(self, family, k, N, eps, data):
+        # Nonzeros anywhere, both boundary coefficients 0 and k*N included;
+        # -0.0 is a zero and NaN a nonzero in both.
+        mesh = generate(MeshSpec(family=family, N=N, sigma=2.0, epsilon=eps, c1=1.0))
+        values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, math.nan]))
+        entries = data.draw(st.dictionaries(st.integers(0, k * N), values, max_size=6))
+        coeff = np.zeros(k * N + 1)
+        coeff[list(entries)] = list(entries.values())
+        fem = PiecewisePolynomial(mesh=mesh, degree=k, coefficients=coeff)
+        self._assert_matches_the_whole_mesh_scan(fem, eps)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "entries",
+        [{}, {0: -0.0}, {0: 1.5}, {-1: 1.5}, {0: 2.0, -1: -3.0}, {0: math.nan}, {-1: math.nan}],
+        ids=["zero", "minus-zero", "first", "last", "both-ends", "nan-first", "nan-last"],
+    )
+    def test_boundary_and_special_values_match_the_whole_mesh_scan(self, k, entries):
+        coeff = np.zeros(k * 8 + 1)
+        coeff[list(entries)] = list(entries.values())
+        mesh = graded_mesh("roos", k, 8, 1e-6)
+        fem = PiecewisePolynomial(mesh=mesh, degree=k, coefficients=coeff)
+        self._assert_matches_the_whole_mesh_scan(fem, 1e-6)
 
 
 def counting(fn):
