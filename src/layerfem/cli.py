@@ -19,7 +19,6 @@ from .mesh import MeshFamily, check_step_sizes, generate, mesh_to_csv
 from .problem import get_problem
 from .study import (
     StudyConfig,
-    _spec,
     defaults_for,
     emit,
     format_error,
@@ -134,7 +133,7 @@ def _point(args: argparse.Namespace):
     for values, name in ((args.N, "N"), (args.epsilon, "epsilon"), (args.mesh_type, "mesh-type")):
         _single(values, name)
     [point] = _config(args, k_list=(1,)).points()
-    return _spec(point)
+    return point
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -189,8 +188,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     config = _config(args, families=(family,), k_list=(1, 2), N_list=(64, 128, 256, 512))
 
     failed: dict[int, list[str]] = {k: [] for k in config.k_list}
-    for point in config.points():
-        spec, k = _spec(point)
+    for spec, k in config.points():
         checks = check_step_sizes(generate(spec))
         if not checks.all_bounds_hold:
             failed[k].append(f"  FAIL N={spec.N} epsilon={spec.epsilon}: {checks}")
@@ -210,18 +208,19 @@ def _cmd_verify(args: argparse.Namespace) -> None:
             f"{'N':>6} {'max|u-uI|':>12} {'rate':>6} {'L2':>12} {'rate':>6} "
             f"{'energy':>12} {'rate':>6} {'corr energy':>12} {'rate':>6}"
         )
-        prev = None
+        # A rate compares a row with the one above it only where N doubles between them.
+        prev_n, prev = 0, None
         for row in rows:
             cells = [row.u_inf, row.u_l2, row.u_energy, row.correction_energy]
             line = f"{row.N:>6}"
             for idx, val in enumerate(cells):
-                if prev is None or prev[idx] <= 0.0 or val <= 0.0:
+                if row.N != 2 * prev_n or prev[idx] <= 0.0 or val <= 0.0:
                     rate = "  --"
                 else:
                     rate = f"{np.log2(prev[idx] / val):.2f}"
                 line += f" {format_error(val):>12} {rate:>6}"
             lines.append(line)
-            prev = cells
+            prev_n, prev = row.N, cells
         lines.append("")
     _write_output(args, "\n".join(lines) + "\n")
 

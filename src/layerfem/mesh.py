@@ -61,14 +61,9 @@ class MeshSpec:
         Breakpoint constant of the KOPTEVA map; the breakpoint sits at
         t = 1/2 - c1*epsilon.  Required for KOPTEVA.
 
-    N, sigma, epsilon and c1 are checked for every family; the graded map's
-    own conditions only where :func:`generate` uses it (epsilon <= 1/N): roos
-    needs 1 - eps < 1 in floating point (false for eps <= 2^-54 ~ 5.55e-17),
-    kopteva the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], and the
-    layer part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1;
-    kopteva: sigma*eps*ln(1/(2*c1*eps)) < 1), and a subnormal sigma*eps must
-    leave kopteva's fine nodes -sigma*eps*ln(1 - 2t) distinct in floating point.
-    A violated condition raises a ValueError that names it.
+    Construction checks N, sigma, epsilon and c1, a violated rule raising a
+    ValueError that names it.  The graded map's own conditions are checked by
+    :func:`generate`, which builds that map.
     """
 
     family: MeshFamily
@@ -89,8 +84,6 @@ class MeshSpec:
             raise ValueError(f"c1 must be positive, got {self.c1}")
         if self.family is MeshFamily.KOPTEVA and self.c1 is None:
             raise ValueError("family 'kopteva' requires the breakpoint constant c1")
-        if self.graded:
-            self._graded_map()
 
     @property
     def graded(self) -> bool:
@@ -121,13 +114,6 @@ class MeshSpec:
                 )
             a, rest = 2.0, 2.0 * c1_eps
             condition = "sigma*eps*ln(1/(2*c1*eps)) < 1"
-            # Only a subnormal sigma*eps has too few bits to keep the fine
-            # nodes apart; they are tested as generate computes them.
-            if self.sigma * eps < sys.float_info.min:
-                t = np.arange(self.N + 1, dtype=float) / self.N
-                if not np.all(np.diff(self._fine_nodes(a, t[t <= theta])) > 0.0):
-                    raise ValueError("kopteva fine nodes -sigma*eps*ln(1 - 2t) must be distinct in "
-                                     f"floating point, got sigma = {self.sigma}, eps = {eps}")
         x_theta = -self.sigma * eps * math.log(rest)
         if not x_theta < 1.0:
             raise ValueError(
@@ -135,10 +121,6 @@ class MeshSpec:
                 f"(sigma = {self.sigma}, eps = {eps})"
             )
         return a, theta, x_theta
-
-    def _fine_nodes(self, a: float, t: np.ndarray) -> np.ndarray:
-        """The graded map's layer part -sigma*eps*ln(1 - a*t) at t <= theta."""
-        return -self.sigma * self.epsilon * np.log(1.0 - a * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +157,14 @@ def generate(spec: MeshSpec) -> Mesh1D:
 
     When epsilon > 1/N a uniform mesh is returned instead (see
     :attr:`MeshSpec.graded`); the returned mesh's spec records the fallback.
-    A :class:`MeshAssumptionWarning` is emitted when the breakpoint constant
+    Otherwise the graded map's conditions are checked as it is built: roos
+    needs 1 - eps < 1 in floating point (false for eps <= 2^-54 ~ 5.55e-17),
+    kopteva the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], the layer
+    part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1; kopteva:
+    sigma*eps*ln(1/(2*c1*eps)) < 1), and a subnormal sigma*eps must leave the
+    fine nodes -sigma*eps*ln(1 - a*t) distinct in floating point.  A violated
+    condition raises a ValueError that names it.  After every check passes, a
+    :class:`MeshAssumptionWarning` is emitted when the breakpoint constant
     exceeds 1/(epsilon*N), in which case the step-size bounds of
     :func:`check_step_sizes` are no longer guaranteed.
     """
@@ -186,6 +175,16 @@ def generate(spec: MeshSpec) -> Mesh1D:
         nodes = t
         spec = replace(spec, family=MeshFamily.UNIFORM)
     else:
+        a, theta, x_theta = spec._graded_map()
+        nodes = np.empty_like(t)
+        m = np.searchsorted(t, theta, "right")   # t is increasing: t[:m] <= theta
+        nodes[:m] = -spec.sigma * spec.epsilon * np.log(1.0 - a * t[:m])
+        # Only a subnormal sigma*eps has too few bits to keep the fine nodes
+        # apart (roos rejects every eps that small first).
+        if spec.sigma * spec.epsilon < sys.float_info.min and not np.all(np.diff(nodes[:m]) > 0.0):
+            raise ValueError("kopteva fine nodes -sigma*eps*ln(1 - 2t) must be distinct in "
+                             f"floating point, got sigma = {spec.sigma}, eps = {spec.epsilon}")
+        nodes[m:] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[m:])
         if spec.family is MeshFamily.KOPTEVA and spec.c1 > 1.0 / (spec.epsilon * N):
             warnings.warn(
                 f"breakpoint constant {spec.c1} exceeds 1/(epsilon*N) = "
@@ -193,11 +192,6 @@ def generate(spec: MeshSpec) -> Mesh1D:
                 MeshAssumptionWarning,
                 stacklevel=2,
             )
-        a, theta, x_theta = spec._graded_map()
-        nodes = np.empty_like(t)
-        m = np.searchsorted(t, theta, "right")   # t is increasing: t[:m] <= theta
-        nodes[:m] = spec._fine_nodes(a, t[:m])
-        nodes[m:] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[m:])
 
     # Both endpoints are exact by construction; pin them against round-off.
     nodes[0] = 0.0

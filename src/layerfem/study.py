@@ -61,10 +61,10 @@ class StudyConfig:
     Defaults: sigma and c1 from :func:`defaults_for`, and N doubling from 8 up to 2048
     for k <= 2 or 1024 for k >= 3.  Construction checks the whole sweep before
     any point runs: the problem name (:func:`get_problem`'s message), each family, each
-    degree (:func:`defaults_for`, the one degree rule), and each distinct (N, sigma,
-    epsilon, c1) once in sweep order (:class:`MeshSpec`'s messages), then that no list
-    repeats an entry.  Only the graded map's own conditions are left to the points,
-    where a violation becomes a failed record.
+    degree (:func:`defaults_for`, the one degree rule), and each point's :class:`MeshSpec`
+    in sweep order (its N, sigma, epsilon and c1 messages), then that no list repeats an
+    entry.  Only the graded map's own conditions, checked by :func:`generate` as it builds
+    the map, are left to the points, where a violation becomes a failed record.
     """
 
     families: tuple[str, ...] = ("roos", "kopteva")
@@ -82,8 +82,8 @@ class StudyConfig:
             get_problem(self.problem, self.epsilons[0])
         for family in self.families:
             MeshFamily(family)
-        for sigma, c1, n_intervals, eps in dict.fromkeys(p[2:] for p in self.points()):
-            MeshSpec(MeshFamily.UNIFORM, n_intervals, sigma, eps, c1)
+        for _ in self.points():   # each point's MeshSpec checks its N, sigma, epsilon, c1
+            pass
         for name in ("families", "k_list", "N_list", "epsilons"):
             values = list(getattr(self, name) or ())
             for i, value in enumerate(values):
@@ -107,14 +107,14 @@ class StudyConfig:
             n *= 2
         return tuple(out)
 
-    def points(self) -> Iterator[tuple[str, int, float, float, int, float]]:
-        """The sweep's (family, k, sigma, c1, N, epsilon) points in run order."""
+    def points(self) -> Iterator[tuple[MeshSpec, int]]:
+        """The sweep's (mesh spec, degree) points in run order: family, k, N, then epsilon."""
         for family in self.families:
             for k in self.k_list:
                 sigma, c1 = defaults_for(k, self.sigma, self.c1)
                 for n_intervals in self.n_list_for(k):
                     for eps in self.epsilons:
-                        yield family, k, sigma, c1, n_intervals, eps
+                        yield MeshSpec(family, n_intervals, sigma, eps, c1), k
 
 
 @dataclass(frozen=True)
@@ -151,46 +151,41 @@ class StudyResult:
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full sweep; individual failures are recorded, not raised."""
-    return StudyResult(records=[_single_run(config.problem, point) for point in config.points()])
-
-
-def _spec(point: tuple[str, int, float, float, int, float]) -> tuple[MeshSpec, int]:
-    """The mesh spec and degree of one :meth:`StudyConfig.points` entry."""
-    family, k, sigma, c1, n_intervals, eps = point
-    return MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1), k
+    return StudyResult(records=[_single_run(config.problem, *point) for point in config.points()])
 
 
 def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:
     """Galerkin solution of degree ``k`` on ``spec``'s mesh and its error norms.
 
-    The one problem -> mesh -> FEM -> norms chain, shared by :func:`run_study`
-    and the ``solve`` command.  A problem without an exact solution raises a
-    ValueError: there is nothing to measure the error against.
+    The one mesh -> problem -> FEM -> norms chain, shared by :func:`run_study` and the
+    ``solve`` command; a broken mesh rule is reported before failing problem data.  A
+    problem without an exact solution raises a ValueError: nothing to measure against.
     """
-    bvp = get_problem(problem, spec.epsilon)
+    mesh, bvp = generate(spec), get_problem(problem, spec.epsilon)
     if bvp.exact is None:
         raise ValueError(f"problem {problem!r} has no exact solution to measure against")
-    fem = galerkin_solve(bvp, generate(spec), k)
+    fem = galerkin_solve(bvp, mesh, k)
     return fem, error_norms(fem, bvp.exact.u_and_prime, spec.epsilon)
 
 
 def interpolate_point(problem: str, spec: MeshSpec, k: int) -> tuple[ErrorTriple, float]:
     """Error norms of the degree-``k`` interpolant u^I on ``spec``'s mesh and the energy
-    norm of its layer correction: the one chain of :func:`interpolation_study`."""
-    bvp = get_problem(problem, spec.epsilon)
-    bundle = build_bundle(bvp.exact, generate(spec), k)
+    norm of its layer correction: the one chain of :func:`interpolation_study`; like
+    :func:`solve_point`, it builds the mesh first."""
+    mesh, bvp = generate(spec), get_problem(problem, spec.epsilon)
+    bundle = build_bundle(bvp.exact, mesh, k)
     tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, spec.epsilon)
     return tri, polynomial_energy_norm(bundle.correction, spec.epsilon)
 
 
-def _single_run(problem: str, point: tuple[str, int, float, float, int, float]) -> ConvergenceRecord:
-    family, k, sigma, _, n_intervals, eps = point
+def _single_run(problem: str, spec: MeshSpec, k: int) -> ConvergenceRecord:
+    point = (spec.family.value, k, spec.sigma, spec.N, spec.epsilon)
     try:
-        _, tri = solve_point(problem, *_spec(point))
+        _, tri = solve_point(problem, spec, k)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         nan = float("nan")
-        return ConvergenceRecord(family, k, sigma, n_intervals, eps, nan, nan, nan, str(exc))
-    return ConvergenceRecord(family, k, sigma, n_intervals, eps, tri.e_inf, tri.e_l2, tri.e_energy)
+        return ConvergenceRecord(*point, nan, nan, nan, str(exc))
+    return ConvergenceRecord(*point, tri.e_inf, tri.e_l2, tri.e_energy)
 
 
 def aggregate(records: list[ConvergenceRecord]) -> list[AggregateRow]:
@@ -321,8 +316,7 @@ def interpolation_study(
     is a one-family, one-degree :class:`StudyConfig`, checked whole before any mesh.
     """
     worst: dict[int, list[float]] = {}
-    for point in StudyConfig((family,), (k,), sigma, c1, n_values, epsilons, problem).points():
-        spec, _ = _spec(point)
+    for spec, _ in StudyConfig((family,), (k,), sigma, c1, n_values, epsilons, problem).points():
         tri, corr = interpolate_point(problem, spec, k)
         prev = worst.get(spec.N, [0.0] * 4)
         worst[spec.N] = [max(w, v) for w, v in zip(prev, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]

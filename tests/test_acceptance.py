@@ -125,10 +125,9 @@ def test_bit_identity_record(sweep):
                      for r in sweep[0].records},
         "interpolant": {},
     }
-    for family, k, sigma, c1, n_intervals, eps in config.points():
-        spec = MeshSpec(family=family, N=n_intervals, sigma=sigma, epsilon=eps, c1=c1)
+    for spec, k in config.points():
         tri, corr = interpolate_point(config.problem, spec, k)
-        now["interpolant"][key(family, k, n_intervals, eps)] = (
+        now["interpolant"][key(spec.family.value, k, spec.N, spec.epsilon)] = (
             tri.e_inf, tri.e_l2, tri.e_energy, corr
         )
     failures, moves, total = [], [], 0

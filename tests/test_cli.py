@@ -141,6 +141,30 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "error: f(x) must be finite on [0, 1]; sampled f(0) = inf\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_broken_mesh_rule_is_reported_before_the_problem_data(self, capsys):
+        # roos at eps = 1e-160 breaks both 1 - eps < 1 and the finite-f check.
+        code = main(["solve", "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-160", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: roos mesh needs 1 - eps < 1 in floating point, "
+                                "got eps = 1e-160\n")
+
+    def test_a_mesh_warning_is_printed_before_failing_problem_data(self, capsys):
+        # The mesh is built first: c1 = 2e159 exceeds 1/(eps*N) = 1.25e159, and
+        # f overflows at eps = 1e-160.
+        code = main(["solve", "--mesh-type", "kopteva", "--N", "8", "--sigma", "2",
+                     "--epsilon", "1e-160", "--c1", "2e159", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "warning: breakpoint constant 2e+159 exceeds 1/(epsilon*N) = 1.25e+159; "
+            "step-size bounds may fail",
+            "error: f(x) must be finite on [0, 1]; sampled f(0) = inf",
+        ]
+
     def test_non_finite_data_prints_only_the_error_line(self):
         # The overflow is named once, by the error line: no numpy warning or
         # source line reaches stderr of the installed command.
@@ -414,6 +438,24 @@ class TestVerifyCommand:
             "coarse_steps_bounded=False, midpoint_left_of_half=False)",
             "  all step-size bounds hold: NO",
         ]
+
+    def test_a_rate_is_printed_only_where_n_doubles_from_the_row_above(self, capsys):
+        code = main(["verify", "--k", "1", "--N", "64", "--N", "128", "--N", "512", "--N", "256",
+                     "--epsilon", "1e-6"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("interpolation errors, k = 1 (max over epsilon)") + 2
+        rows = [line.split() for line in lines[start:start + 4]]
+        assert [row[0] for row in rows] == ["64", "128", "512", "256"]
+        for row in rows:
+            errors, rates = [float(v) for v in row[1::2]], row[2::2]
+            if row[0] == "128":
+                # The errors are printed to three digits, the rates from the exact errors.
+                assert [float(r) for r in rates] == pytest.approx(
+                    [math.log2(p / e) for p, e in zip(previous, errors)], abs=0.01)
+            else:
+                assert rates == ["--"] * 4
+            previous = errors
 
     def test_fail_lines_follow_the_sweep_order(self, capsys):
         # One degree's FAIL lines run N first, then epsilon, as StudyConfig.points() does.

@@ -118,37 +118,57 @@ class TestGenerate:
 
     def test_rejects_breakpoint_outside_range(self):
         with pytest.raises(ValueError, match="breakpoint"):
-            MeshSpec(family=MeshFamily.KOPTEVA, N=8, sigma=2.0, epsilon=0.01, c1=60.0)
+            generate(MeshSpec(family=MeshFamily.KOPTEVA, N=8, sigma=2.0, epsilon=0.01, c1=60.0))
+
+    def test_the_graded_map_is_checked_where_generate_builds_it(self):
+        # Construction checks N, sigma, epsilon and c1 only; theta = 1/2 - 60*0.01 < 0.
+        spec = MeshSpec("kopteva", 8, 2.0, 0.01, 60.0)
+        with pytest.raises(ValueError, match=r"^breakpoint t = 1/2 - 60.0\*0.01 = -0.0999+8 must lie"):
+            generate(spec)
+
+    def test_generate_evaluates_the_graded_map_once(self, monkeypatch):
+        calls = []
+        graded_map = MeshSpec._graded_map
+
+        def counting(spec):
+            calls.append(spec)
+            return graded_map(spec)
+
+        monkeypatch.setattr(MeshSpec, "_graded_map", counting)
+        spec = kopteva_spec(N=64, eps=1e-6)
+        assert calls == []
+        generate(spec)
+        assert calls == [spec]
 
     def test_rejects_layer_wider_than_domain(self):
         # sigma*eps*ln(1/eps) = 3.54 with eps <= 1/N: the graded part would
         # end past x = 1.
         with pytest.raises(ValueError, match=r"roos mesh needs sigma\*eps\*ln\(1/eps\) < 1"):
-            MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.2)
+            generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.2))
         for family in (MeshFamily.KOPTEVA,):
             with pytest.raises(ValueError, match=r"sigma\*eps\*ln\(1/\(2\*c1\*eps\)\) < 1"):
-                MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1)
+                generate(MeshSpec(family=family, N=4, sigma=11.0, epsilon=0.2, c1=0.1))
         # Above eps = 1/N the mesh is uniform and the graded map never runs.
         assert generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.3)).spec.family is MeshFamily.UNIFORM
 
     def test_rejects_eps_below_float_resolution_of_roos_map(self):
         with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
-            MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=1e-17)
+            generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=1e-17))
 
     def test_checks_run_before_the_log_of_the_graded_map(self):
         # 1 - a*theta = 2*c1*eps underflows to 0 here: the breakpoint check
         # must name the fault before the log sees it.
         with pytest.raises(ValueError, match="breakpoint"):
-            MeshSpec("kopteva", 4, 1.0, 5e-324, 0.25)
+            generate(MeshSpec("kopteva", 4, 1.0, 5e-324, 0.25))
         with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
-            MeshSpec("roos", 4, 1.0, 5e-324)
+            generate(MeshSpec("roos", 4, 1.0, 5e-324))
 
     def test_rejects_a_breakpoint_within_rounding_of_one_half(self):
         # theta = 1/2 - 29*1.5e-18 rounds to 1/2 - 2^-54, so t = 1/2 would fall
         # in the uniform part, whose node there rounds to 0, below the last
         # fine node.
         with pytest.raises(ValueError, match="breakpoint"):
-            MeshSpec("kopteva", 148, 1.0, 2.220446049250313e-16 / 148, 29.0)
+            generate(MeshSpec("kopteva", 148, 1.0, 2.220446049250313e-16 / 148, 29.0))
 
     def test_breakpoint_constant_near_the_float_limit_builds_the_graded_mesh(self):
         # 2*c1 overflows but c1*eps = 1e-12 does not: theta = 1/2 - 1e-12 is
@@ -162,7 +182,7 @@ class TestGenerate:
         # distinct values than the 32 fine nodes at N = 64.
         with pytest.raises(ValueError, match=r"kopteva fine nodes -sigma\*eps\*ln\(1 - 2t\) "
                                              "must be distinct in floating point"):
-            MeshSpec("kopteva", 64, 1.0, 1e-322, 1e308)
+            generate(MeshSpec("kopteva", 64, 1.0, 1e-322, 1e308))
 
     def test_every_admissible_subnormal_eps_spec_generates(self):
         # A seeded sample with eps log-uniform over the subnormals and c1*eps
@@ -177,12 +197,12 @@ class TestGenerate:
             c1 = float(10.0 ** rng.uniform(top - 15.4, min(308.0, top)))
             try:
                 spec = MeshSpec("kopteva", N, float(rng.uniform(1.0, 50.0)), eps, c1)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", MeshAssumptionWarning)
+                    generate(spec)
             except ValueError as exc:
                 assert "strictly increasing" not in str(exc)
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MeshAssumptionWarning)
-                generate(spec)
             admissible += 1
         assert admissible > 1000
 
@@ -203,7 +223,11 @@ class TestGenerate:
         assume(eps > 0.0)
         try:
             spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=c1)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeshAssumptionWarning)
+                mesh = generate(spec)
+        except ValueError as exc:
+            assert "strictly increasing" not in str(exc)
             assume(False)
         t = np.arange(N + 1, dtype=float) / N
         if family is MeshFamily.ROOS:
@@ -211,9 +235,6 @@ class TestGenerate:
         else:
             expected = kopteva_map(t, sigma, eps, c1)
         expected[0], expected[-1] = 0.0, 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MeshAssumptionWarning)
-            mesh = generate(spec)
         assert mesh.spec.family is family
         assert np.array_equal(mesh.nodes, expected)
 
@@ -228,12 +249,12 @@ class TestGenerate:
     def test_spec_is_rejected_by_name_or_nodes_increase(self, family, N, sigma, eps, const):
         try:
             spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=const)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeshAssumptionWarning)
+                mesh = generate(spec)
         except ValueError as exc:
             assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
             return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MeshAssumptionWarning)
-            mesh = generate(spec)
         assert np.all(np.diff(mesh.nodes) > 0.0)
 
     @pytest.mark.parametrize("family", list(MeshFamily))

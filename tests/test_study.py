@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.polynomial import Polynomial
 
 from layerfem import (
     ConvergenceRecord,
+    MeshAssumptionWarning,
     MeshFamily,
     MeshSpec,
     StudyConfig,
@@ -124,17 +126,17 @@ class TestConfig:
         small_config()
 
     def test_each_distinct_mesh_point_is_checked_once_in_sweep_order(self, monkeypatch):
-        # The check spec is uniform, so both families share each of theirs.
+        # Each point's own spec is the check; no two points share one.
         built = []
 
         def counting(*args):
-            built.append(args[1:])
+            built.append(args)
             return MeshSpec(*args)
 
         monkeypatch.setattr(study, "MeshSpec", counting)
         StudyConfig()
-        assert len(built) == len(set(built)) == 204
-        assert built[:2] == [(8, 2.0, 1e-4, 2.5), (8, 2.0, 1e-5, 2.5)]
+        assert len(built) == len(set(built)) == 408
+        assert built[:2] == [("roos", 8, 2.0, 1e-4, 2.5), ("roos", 8, 2.0, 1e-5, 2.5)]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -148,12 +150,14 @@ class TestConfig:
         try:
             StudyConfig(families=(family,), sigma=sigma, c1=c1, N_list=(N,), epsilons=(eps,))
         except ValueError as exc:
-            # The same rule rejects the point's uniform spec.
+            # The same rule rejects the point's spec.
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                MeshSpec(MeshFamily.UNIFORM, N, sigma, eps, c1)
+                MeshSpec(family, N, sigma, eps, c1)
             return
         try:
-            MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=c1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeshAssumptionWarning)
+                generate(MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=c1))
         except ValueError as exc:
             assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
 
@@ -161,13 +165,13 @@ class TestConfig:
         cfg = small_config(families=("roos", "kopteva"), k_list=(1, 2), sigma=3.0)
         points = list(cfg.points())
         assert points[:3] == [
-            ("roos", 1, 3.0, 2.5, 8, 1e-6),
-            ("roos", 1, 3.0, 2.5, 8, 1e-8),
-            ("roos", 1, 3.0, 2.5, 16, 1e-6),
+            (MeshSpec("roos", 8, 3.0, 1e-6, 2.5), 1),
+            (MeshSpec("roos", 8, 3.0, 1e-8, 2.5), 1),
+            (MeshSpec("roos", 16, 3.0, 1e-6, 2.5), 1),
         ]
         records = run_study(cfg).records
         assert [(r.family, r.k, r.sigma, r.N, r.epsilon) for r in records] == [
-            (family, k, sigma, n, eps) for family, k, sigma, _, n, eps in points
+            (spec.family.value, k, spec.sigma, spec.N, spec.epsilon) for spec, k in points
         ]
 
 
@@ -213,6 +217,11 @@ class TestRunStudy:
         assert math.isnan(rec.e_energy)
         assert math.isnan(aggregate(result.records)[0].e_uniform)
         assert "ERR" in emit(result.records, "table")
+
+    def test_a_broken_mesh_rule_is_recorded_before_the_problem_data(self):
+        # roos at eps = 1e-160 breaks both 1 - eps < 1 and the finite-f check.
+        [rec] = run_study(small_config(N_list=(8,), epsilons=(1e-160,))).records
+        assert rec.error == "roos mesh needs 1 - eps < 1 in floating point, got eps = 1e-160"
 
     def test_epsilon_robustness_small_slice(self):
         cfg = small_config(N_list=(64,), epsilons=(1e-4, 1e-6, 1e-9))

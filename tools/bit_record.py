@@ -43,10 +43,12 @@ def main(argv: list[str]) -> int:
         for r in run_study(config).records
     }
     interpolant = {}
-    for family, k, sigma, c1, n_intervals, eps in config.points():
-        row = interpolation_study(family, k, (n_intervals,), (eps,), config.problem, sigma, c1)[0]
+    for spec, k in config.points():
+        family = spec.family.value
+        row = interpolation_study(family, k, (spec.N,), (spec.epsilon,), config.problem,
+                                  spec.sigma, spec.c1)[0]
         values = (row.u_inf, row.u_l2, row.u_energy, row.correction_energy)
-        interpolant[record_key(family, k, n_intervals, eps)] = [v.hex() for v in values]
+        interpolant[record_key(family, k, spec.N, spec.epsilon)] = [v.hex() for v in values]
     head = {
         "description": "hex-float error norms of the 408 default StudyConfig points",
         "numpy": np.__version__,
