@@ -5,9 +5,10 @@ Degree-k Lagrange elements on equidistant element-internal nodes, assembly of
     a(u, v) = epsilon*(u', v') - (b u', v) + (c u, v),     rhs (f, v),
 
 by Gauss-Legendre quadrature, and its solution by static condensation onto
-the vertex values: batched LU of the element interior blocks on strided views
-of the element arrays, then LAPACK's pivoted tridiagonal dgttrf and dgttrs.
-Global unknowns are node-ordered left to right.
+the vertex values: the element interior blocks are solved on strided views of
+the element arrays (no call for k = 1, one division per 1x1 block for k = 2,
+batched LAPACK dgesv for k >= 3), then the vertex system by LAPACK's pivoted
+tridiagonal dgttrf and dgttrs.  Global unknowns are node-ordered left to right.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .mesh import Mesh1D
 from .problem import TwoPointBVP
@@ -329,9 +329,10 @@ class TridiagonalLU:
         base = buf.ctypes.data
         dl_, d_, du_, du2_, rhs_, ipiv_, n_ = (base + 8 * n * j for j in range(7))
         _DGTTRF(n_, dl_, d_, du_, du2_, ipiv_, n_ + 16)
-        multipliers, pivots = buf[: 2 * n].reshape(2, n)   # multipliers[n - 1] stays 0
-        bad = ~(np.isfinite(multipliers) & np.isfinite(pivots) & (pivots != 0))
-        if bad.any():
+        factors = buf[: 2 * n]   # the multipliers (the last stays 0), then the pivots
+        if not (np.isfinite(factors).all() and factors[n:].all()):
+            multipliers, pivots = factors.reshape(2, n)
+            bad = ~(np.isfinite(multipliers) & np.isfinite(pivots) & (pivots != 0))
             raise SingularMatrixError(int(bad.argmax()))
         self._rhs = buf[4 * n : 5 * n]
         self._solve_args = (b"N", n_, n_ + 8, dl_, d_, du_, du2_, ipiv_, rhs_, n_, n_ + 16, 1)
@@ -343,6 +344,14 @@ class TridiagonalLU:
         self._rhs[:] = b
         _DGTTRS(*self._solve_args)
         return self._rhs.copy()
+
+
+def _overlapping(
+    buffer: np.ndarray, shape: tuple[int, int], strides: tuple[int, int]
+) -> np.ndarray:
+    """A read-only view of the contiguous ``buffer`` from its start whose rows
+    may overlap: what ``as_strided`` builds, without its per-call overhead."""
+    return _frozen(np.ndarray(shape, buffer=buffer, strides=strides))[0]
 
 
 class _Condensation:
@@ -358,6 +367,8 @@ class _Condensation:
         k = self._k = matrices.shape[1] - 1
         self._a_ii = matrices[:, 1:k, 1:k]
         self._a_vi = matrices[:, ::k, 1:k]   # rows 0 and k
+        if k == 2 and not self._a_ii.all():   # the exact zero pivot LAPACK's dgetrf flags
+            raise SingularMatrixError(element=int((self._a_ii == 0.0).argmax()))
         # Interior values per unit vertex value: u_inner = y - w @ (v_left, v_right).
         self._w = self._interior_solve(matrices[:, 1:k, ::k])
         schur = matrices[:, ::k, ::k] - self._a_vi @ self._w
@@ -366,8 +377,15 @@ class _Condensation:
         )
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape[1] == 0:   # k = 1: no interior unknowns
+        if self._k == 1:   # no interior unknowns
             return rhs
+        if self._k == 2:   # 1x1 blocks, nonzero (checked above), with the bits of OpenBLAS's dgesv
+            # trsm multiplies several right-hand sides by the reciprocal pivot, trsv
+            # divides one; like LAPACK, pass non-finite values on without a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rhs.shape[2] == 1:
+                    return rhs / self._a_ii
+                return rhs * (1.0 / self._a_ii)
         try:
             return np.linalg.solve(self._a_ii, rhs)
         except np.linalg.LinAlgError:
@@ -385,7 +403,7 @@ class _Condensation:
         out = np.zeros(k * n_elem + 1)
         v = out[::k]
         v[1:-1] = self._lu.solve(g[:-1, 1] + g[1:, 0])
-        ends = as_strided(v, (n_elem, 2), v.strides * 2, writeable=False)   # (v_e, v_e+1)
+        ends = _overlapping(out, (n_elem, 2), v.strides * 2)   # (v_e, v_e+1)
         out[:-1].reshape(n_elem, k)[:, 1:] = (y - self._w @ ends[:, :, None])[:, :, 0]
         return out
 
@@ -393,8 +411,8 @@ class _Condensation:
 def solve(system: ElementSystem) -> np.ndarray:
     """Solve the system by static condensation; returns the k*N - 1 unknowns.
 
-    The interior unknowns of each element are eliminated by a batched LU
-    with partial pivoting of the interior blocks, the summed 2x2 Schur
+    The interior unknowns of each element are eliminated by the LU with
+    partial pivoting of its interior block, the summed 2x2 Schur
     complements form a tridiagonal vertex system solved by LAPACK's dgttrf
     and dgttrs (:class:`TridiagonalLU`), and the interior values follow.
     One step of iterative refinement against the element-wise residual
@@ -402,8 +420,10 @@ def solve(system: ElementSystem) -> np.ndarray:
     O(h), and recovering the interior values can magnify the error of the
     vertex values by up to ~N.  Each condensed solve fills one array of
     k*N + 1 coefficients through strided views.  The interior blocks take
-    no LAPACK call for k = 1 and three for k >= 2 (w, y, y of the residual);
-    solving y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
+    no LAPACK call for k = 1; for k = 2 they are 1x1, and each of w, y and y
+    of the residual is one division per block, with the bits dgesv gives;
+    k >= 3 take three batched dgesv calls (w, y, y of the residual).  Solving
+    y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 
     Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the
     vertex system (with its elimination step) or a singular interior block
@@ -412,7 +432,7 @@ def solve(system: ElementSystem) -> np.ndarray:
     condensed = _Condensation(system.matrices)
     x = condensed.solve(system.loads)
     k, n_elem = system.degree, system.loads.shape[0]
-    local = as_strided(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize), writeable=False)
+    local = _overlapping(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize))
     residual = system.loads - (system.matrices @ local[:, :, None])[:, :, 0]
     x += condensed.solve(residual)
     return x[1:-1]

@@ -11,7 +11,6 @@ table.  :func:`interpolation_study` sweeps the interpolant the same way, one
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .femcore import PiecewisePolynomial, _check_degree, galerkin_solve
@@ -74,6 +73,7 @@ class StudyConfig:
     N_list: tuple[int, ...] | None = None
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     problem: str = "layer-test"
+    _points: tuple[tuple[MeshSpec, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.families and self.k_list and self.epsilons and self.N_list != ()):
@@ -82,8 +82,14 @@ class StudyConfig:
             get_problem(self.problem, self.epsilons[0])
         for family in self.families:
             MeshFamily(family)
-        for _ in self.points():   # each point's MeshSpec checks its N, sigma, epsilon, c1
-            pass
+        points = []   # each point's MeshSpec checks its N, sigma, epsilon, c1
+        for family in self.families:
+            for k in self.k_list:
+                sigma, c1 = defaults_for(k, self.sigma, self.c1)
+                for n_intervals in self.n_list_for(k):
+                    for eps in self.epsilons:
+                        points.append((MeshSpec(family, n_intervals, sigma, eps, c1), k))
+        object.__setattr__(self, "_points", tuple(points))
         for name in ("families", "k_list", "N_list", "epsilons"):
             values = list(getattr(self, name) or ())
             for i, value in enumerate(values):
@@ -107,14 +113,10 @@ class StudyConfig:
             n *= 2
         return tuple(out)
 
-    def points(self) -> Iterator[tuple[MeshSpec, int]]:
-        """The sweep's (mesh spec, degree) points in run order: family, k, N, then epsilon."""
-        for family in self.families:
-            for k in self.k_list:
-                sigma, c1 = defaults_for(k, self.sigma, self.c1)
-                for n_intervals in self.n_list_for(k):
-                    for eps in self.epsilons:
-                        yield MeshSpec(family, n_intervals, sigma, eps, c1), k
+    def points(self) -> tuple[tuple[MeshSpec, int], ...]:
+        """The sweep's (mesh spec, degree) points in run order: family, k, N, then
+        epsilon; built once, by the construction's check."""
+        return self._points
 
 
 @dataclass(frozen=True)

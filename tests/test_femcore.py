@@ -531,14 +531,16 @@ class TestBandedSolve:
         np.testing.assert_array_equal(system.loads, loads)
         assert not system.matrices.flags.writeable and not system.loads.flags.writeable
 
-    def test_nan_in_element_matrix_raises(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nan_in_element_matrix_raises(self, k):
+        # For k = 2, (3, 1, 1) is a whole 1x1 interior block.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
-        system = assemble(bvp, mesh, 3)
-        for entry in [(3, 0, 0), (3, 0, 2), (3, 1, 2), (3, 2, 3), (7, 0, 1)]:
+        system = assemble(bvp, mesh, k)
+        for entry in [(3, 0, 0), (3, 0, k - 1), (3, 1, k - 1), (3, k - 1, k), (7, 0, 1)]:
             matrices = system.matrices.copy()
             matrices[entry] = np.nan
-            broken = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
+            broken = ElementSystem(matrices=matrices, loads=system.loads, degree=k)
             with pytest.raises(SingularMatrixError):
                 solve(broken)
 
@@ -553,13 +555,14 @@ class TestBandedSolve:
             changed = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
             np.testing.assert_array_equal(solve(changed), expected)
 
-    def test_singular_interior_block_names_element(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_singular_interior_block_names_element(self, k):
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
-        system = assemble(bvp, mesh, 3)
+        system = assemble(bvp, mesh, k)
         matrices = system.matrices.copy()
-        matrices[5, 1:3, 1:3] = 0.0
-        broken = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
+        matrices[5, 1:k, 1:k] = 0.0
+        broken = ElementSystem(matrices=matrices, loads=system.loads, degree=k)
         with pytest.raises(SingularMatrixError, match="element 5") as info:
             solve(broken)
         assert info.value.element == 5
@@ -624,15 +627,17 @@ class TestCondensedSolve:
             )
             assert np.array_equal(solve(noisy), _indexed_condensed_solve(noisy))
 
-    def test_degree_one_makes_no_lapack_call(self, monkeypatch):
-        # No interior-block solve; the vertex system still goes to dgttrf/dgttrs.
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_degree_one_makes_no_lapack_call(self, monkeypatch, k):
+        # No interior-block solve for k = 1 and divisions for k = 2's 1x1 blocks;
+        # the vertex system still goes to dgttrf/dgttrs.
         bvp = layer_test_problem(1e-6)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=64, sigma=2.0, epsilon=1e-6))
-        system = assemble(bvp, mesh, 1)
+        system = assemble(bvp, mesh, k)
         x_ref = np.linalg.solve(dense_matrix(system), dense_rhs(system))
 
         def no_lapack(*args):
-            raise AssertionError("np.linalg.solve called for k = 1")
+            raise AssertionError(f"np.linalg.solve called for k = {k}")
 
         monkeypatch.setattr(np.linalg, "solve", no_lapack)
         x = solve(system)

@@ -161,6 +161,32 @@ class TestConfig:
         except ValueError as exc:
             assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
 
+    @pytest.mark.parametrize("sweep", ["run_study", "interpolation_study"])
+    def test_one_call_builds_one_mesh_spec_per_point(self, monkeypatch, sweep):
+        # The construction's check keeps the specs it builds; points() hands them out.
+        built = []
+        check = MeshSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec)
+            check(spec)
+
+        monkeypatch.setattr(MeshSpec, "__post_init__", counted)
+        if sweep == "run_study":
+            run_study(small_config())
+        else:
+            interpolation_study("roos", 1, (8, 16), (1e-6, 1e-8))
+        assert len(built) == 4
+
+    def test_kept_points_are_outside_equality_hash_and_repr(self):
+        cfg = small_config()
+        assert cfg == small_config() and hash(cfg) == hash(small_config())
+        assert cfg != small_config(k_list=(2,))
+        assert repr(cfg) == (
+            "StudyConfig(families=('roos',), k_list=(1,), sigma=None, c1=None, N_list=(8, 16), "
+            "epsilons=(1e-06, 1e-08), problem='layer-test')"
+        )
+
     def test_points_follow_the_run_order(self):
         cfg = small_config(families=("roos", "kopteva"), k_list=(1, 2), sigma=3.0)
         points = list(cfg.points())
