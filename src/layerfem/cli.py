@@ -19,10 +19,10 @@ from .mesh import MeshFamily, check_step_sizes, generate, mesh_to_csv
 from .problem import get_problem
 from .study import (
     StudyConfig,
+    _interpolation_rows,
     defaults_for,
     emit,
     format_error,
-    interpolation_study,
     run_study,
     solve_point,
 )
@@ -153,9 +153,9 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     spec, k = _point(args)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    fem, tri = solve_point(args.problem, spec, k)
+    mesh = generate(spec)
+    fem, tri = solve_point(args.problem, mesh, k)
 
-    mesh = fem.mesh
     local = _point_table(np.linspace(0.0, 1.0, args.samples, endpoint=False))
     x = np.append(_element_points(_element_rows(mesh), local).ravel(), 1.0)
     u_num = fem.evaluate(x)
@@ -183,15 +183,16 @@ def _cmd_study(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> None:
-    # verify's own defaults; the config checks the whole sweep before any mesh is built.
+    # verify's own defaults; the sweep is checked whole, then every mesh built before any problem.
     family = _single(args.mesh_type or ["roos"], "mesh-type")
     config = _config(args, families=(family,), k_list=(1, 2), N_list=(64, 128, 256, 512))
+    points = [(generate(spec), k) for spec, k in config.points()]
 
     failed: dict[int, list[str]] = {k: [] for k in config.k_list}
-    for spec, k in config.points():
-        checks = check_step_sizes(generate(spec))
+    for mesh, k in points:
+        checks = check_step_sizes(mesh)
         if not checks.all_bounds_hold:
-            failed[k].append(f"  FAIL N={spec.N} epsilon={spec.epsilon}: {checks}")
+            failed[k].append(f"  FAIL N={mesh.N} epsilon={mesh.spec.epsilon}: {checks}")
     lines = []
     for k, fails in failed.items():
         lines.append(f"mesh step-size checks ({family}, k = {k}, "
@@ -200,9 +201,8 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         lines.append(f"  all step-size bounds hold: {'NO' if fails else 'yes'}")
     lines.append("")
 
+    rows = _interpolation_rows(config.problem, points)
     for k in config.k_list:
-        rows = interpolation_study(family, k, config.N_list, config.epsilons,
-                                   problem=config.problem, sigma=config.sigma, c1=config.c1)
         lines.append(f"interpolation errors, k = {k} (max over epsilon)")
         lines.append(
             f"{'N':>6} {'max|u-uI|':>12} {'rate':>6} {'L2':>12} {'rate':>6} "
@@ -210,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         )
         # A rate compares a row with the one above it only where N doubles between them.
         prev_n, prev = 0, None
-        for row in rows:
+        for row in [row for row in rows if row.k == k]:
             cells = [row.u_inf, row.u_l2, row.u_energy, row.correction_energy]
             line = f"{row.N:>6}"
             for idx, val in enumerate(cells):

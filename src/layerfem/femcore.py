@@ -38,11 +38,11 @@ __all__ = [
 
 
 class SingularMatrixError(RuntimeError):
-    """The elimination hit a zero or non-finite pivot; the system is singular
-    to working precision.
+    """The elimination hit a zero or non-finite pivot, or an interior block
+    has an infinite entry; the system is singular to working precision.
 
     ``pivot_index`` is the elimination step of the vertex system, or None when
-    the interior block of ``element`` is singular.
+    the interior block of ``element`` is singular or not finite.
     """
 
     def __init__(self, pivot_index: int | None = None, element: int | None = None):
@@ -426,8 +426,8 @@ def solve(system: ElementSystem) -> np.ndarray:
     y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 
     Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the
-    vertex system (with its elimination step) or a singular interior block
-    (with its element).
+    vertex system (with its elimination step), or on a singular interior block
+    or one with an infinite entry (with its element).
     """
     condensed = _Condensation(system.matrices)
     x = condensed.solve(system.loads)
@@ -435,6 +435,10 @@ def solve(system: ElementSystem) -> np.ndarray:
     local = _overlapping(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize))
     residual = system.loads - (system.matrices @ local[:, :, None])[:, :, 0]
     x += condensed.solve(residual)
+    if not np.isfinite(x).all():   # an infinite interior entry passes every pivot check
+        finite = np.isfinite(system.matrices[:, 1:k, 1:k]).all(axis=(1, 2))
+        if not finite.all():
+            raise SingularMatrixError(element=int(finite.argmin()))
     return x[1:-1]
 
 

@@ -11,11 +11,12 @@ table.  :func:`interpolation_study` sweeps the interpolant the same way, one
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .femcore import PiecewisePolynomial, _check_degree, galerkin_solve
 from .interpolants import build_bundle
-from .mesh import MeshFamily, MeshSpec, generate
+from .mesh import Mesh1D, MeshFamily, MeshSpec, generate
 from .norms import ErrorTriple, error_norms, polynomial_energy_norm
 from .problem import _PROBLEMS, get_problem
 
@@ -156,34 +157,33 @@ def run_study(config: StudyConfig) -> StudyResult:
     return StudyResult(records=[_single_run(config.problem, *point) for point in config.points()])
 
 
-def solve_point(problem: str, spec: MeshSpec, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:
-    """Galerkin solution of degree ``k`` on ``spec``'s mesh and its error norms.
+def solve_point(problem: str, mesh: Mesh1D, k: int) -> tuple[PiecewisePolynomial, ErrorTriple]:
+    """Galerkin solution of degree ``k`` on ``mesh`` (at its spec's epsilon) and its error norms.
 
-    The one mesh -> problem -> FEM -> norms chain, shared by :func:`run_study` and the
-    ``solve`` command; a broken mesh rule is reported before failing problem data.  A
-    problem without an exact solution raises a ValueError: nothing to measure against.
+    The one problem -> FEM -> norms chain of :func:`run_study` and the ``solve`` command;
+    each caller builds the mesh first, so a broken mesh rule is reported before failing
+    problem data.  A problem without an exact solution raises a ValueError.
     """
-    mesh, bvp = generate(spec), get_problem(problem, spec.epsilon)
+    bvp = get_problem(problem, mesh.spec.epsilon)
     if bvp.exact is None:
         raise ValueError(f"problem {problem!r} has no exact solution to measure against")
     fem = galerkin_solve(bvp, mesh, k)
-    return fem, error_norms(fem, bvp.exact.u_and_prime, spec.epsilon)
+    return fem, error_norms(fem, bvp.exact.u_and_prime, bvp.epsilon)
 
 
-def interpolate_point(problem: str, spec: MeshSpec, k: int) -> tuple[ErrorTriple, float]:
-    """Error norms of the degree-``k`` interpolant u^I on ``spec``'s mesh and the energy
-    norm of its layer correction: the one chain of :func:`interpolation_study`; like
-    :func:`solve_point`, it builds the mesh first."""
-    mesh, bvp = generate(spec), get_problem(problem, spec.epsilon)
+def interpolate_point(problem: str, mesh: Mesh1D, k: int) -> tuple[ErrorTriple, float]:
+    """Error norms of the degree-``k`` interpolant u^I on ``mesh`` and the energy norm of
+    its layer correction: the one chain of :func:`interpolation_study` and ``verify``."""
+    bvp = get_problem(problem, mesh.spec.epsilon)
     bundle = build_bundle(bvp.exact, mesh, k)
-    tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, spec.epsilon)
-    return tri, polynomial_energy_norm(bundle.correction, spec.epsilon)
+    tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, bvp.epsilon)
+    return tri, polynomial_energy_norm(bundle.correction, bvp.epsilon)
 
 
 def _single_run(problem: str, spec: MeshSpec, k: int) -> ConvergenceRecord:
     point = (spec.family.value, k, spec.sigma, spec.N, spec.epsilon)
     try:
-        _, tri = solve_point(problem, spec, k)
+        _, tri = solve_point(problem, generate(spec), k)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         nan = float("nan")
         return ConvergenceRecord(*point, nan, nan, nan, str(exc))
@@ -309,17 +309,21 @@ def interpolation_study(
     n_values: tuple[int, ...],
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
     problem: str = StudyConfig.problem,
-    sigma: float | None = None,
-    c1: float | None = None,
 ) -> list[InterpolationRow]:
     """Measure interpolation errors of u - u^I and the layer correction.
 
-    Used by the ``verify`` CLI command and the interpolation-rate checks.  The sweep
-    is a one-family, one-degree :class:`StudyConfig`, checked whole before any mesh.
+    The sweep is a one-family, one-degree :class:`StudyConfig` at the degree's default
+    mesh parameters, checked whole before any mesh.
     """
-    worst: dict[int, list[float]] = {}
-    for spec, _ in StudyConfig((family,), (k,), sigma, c1, n_values, epsilons, problem).points():
-        tri, corr = interpolate_point(problem, spec, k)
-        prev = worst.get(spec.N, [0.0] * 4)
-        worst[spec.N] = [max(w, v) for w, v in zip(prev, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
-    return [InterpolationRow(k, n_intervals, *w) for n_intervals, w in worst.items()]
+    config = StudyConfig((family,), (k,), N_list=n_values, epsilons=epsilons, problem=problem)
+    return _interpolation_rows(problem, ((generate(spec), k) for spec, k in config.points()))
+
+
+def _interpolation_rows(problem: str, points: Iterable[tuple[Mesh1D, int]]) -> list[InterpolationRow]:
+    """One :class:`InterpolationRow` per (k, N) of the (mesh, k) ``points``: the max over epsilon."""
+    worst: dict[tuple[int, int], list[float]] = {}
+    for mesh, k in points:
+        tri, corr = interpolate_point(problem, mesh, k)
+        prev = worst.get((k, mesh.N), [0.0] * 4)
+        worst[k, mesh.N] = [max(w, v) for w, v in zip(prev, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
+    return [InterpolationRow(k, n_intervals, *w) for (k, n_intervals), w in worst.items()]

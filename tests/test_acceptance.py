@@ -126,7 +126,7 @@ def test_bit_identity_record(sweep):
         "interpolant": {},
     }
     for spec, k in config.points():
-        tri, corr = interpolate_point(config.problem, spec, k)
+        tri, corr = interpolate_point(config.problem, generate(spec), k)
         now["interpolant"][key(spec.family.value, k, spec.N, spec.epsilon)] = (
             tri.e_inf, tri.e_l2, tri.e_energy, corr
         )

@@ -15,6 +15,7 @@ from layerfem import (
     StudyConfig,
     StudyResult,
     defaults_for,
+    generate,
     solve_point,
 )
 from layerfem import cli
@@ -87,7 +88,7 @@ class TestSolveCommand:
                      "--epsilon", "1e-7", "--samples", "2"]) == 0
         sigma, c1 = defaults_for(k)
         spec = MeshSpec(family=family, N=32, sigma=sigma, epsilon=1e-7, c1=c1)
-        _, tri = solve_point("layer-test", spec, k)
+        _, tri = solve_point("layer-test", generate(spec), k)
         expected = f"e_inf={tri.e_inf:.6e} e_l2={tri.e_l2:.6e} e_energy={tri.e_energy:.6e}\n"
         assert capsys.readouterr().err == expected
 
@@ -456,6 +457,16 @@ class TestVerifyCommand:
             else:
                 assert rates == ["--"] * 4
             previous = errors
+
+    def test_every_mesh_is_built_before_any_problem(self, capsys):
+        # Alone, the first point fails on its problem data (f(0) = inf at eps = 1e-160);
+        # the second point's mesh breaks the breakpoint rule, which is reported.
+        code = main(["verify", "--mesh-type", "kopteva", "--c1", "1e150", "--epsilon", "1e-160",
+                     "--epsilon", "1e-140", "--N", "64", "--k", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: breakpoint t = 1/2 - 1e+150*1e-140 = -9999999999.5 must lie in (0, 1/2 - 2^-52]\n"
+        )
 
     def test_fail_lines_follow_the_sweep_order(self, capsys):
         # One degree's FAIL lines run N first, then epsilon, as StudyConfig.points() does.

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -533,16 +534,20 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_nan_in_element_matrix_raises(self, k):
-        # For k = 2, (3, 1, 1) is a whole 1x1 interior block.
+        # For k = 2, (3, 1, 1) is a whole 1x1 interior block.  An infinite interior
+        # entry leaves every pivot finite; the solve names its element.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         system = assemble(bvp, mesh, k)
-        for entry in [(3, 0, 0), (3, 0, k - 1), (3, 1, k - 1), (3, k - 1, k), (7, 0, 1)]:
+        entries = [(3, 0, 0), (3, 0, k - 1), (3, 1, k - 1), (3, k - 1, k), (7, 0, 1)]
+        for entry, value in itertools.product(entries, [np.nan, np.inf, -np.inf]):
             matrices = system.matrices.copy()
-            matrices[entry] = np.nan
+            matrices[entry] = value
             broken = ElementSystem(matrices=matrices, loads=system.loads, degree=k)
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(SingularMatrixError) as raised:
                 solve(broken)
+            if np.isinf(value) and 0 < entry[1] < k and 0 < entry[2] < k:
+                assert raised.value.element == entry[0]
 
     def test_boundary_rows_and_columns_are_not_part_of_the_system(self):
         bvp = layer_test_problem(0.01)

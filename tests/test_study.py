@@ -28,7 +28,7 @@ from layerfem import (
     run_study,
     solve_point,
 )
-from layerfem import study
+from layerfem import cli, study
 from layerfem.problem import _PROBLEMS
 from layerfem.study import defaults_for, interpolation_study
 from oracles import fitted_rate
@@ -161,22 +161,32 @@ class TestConfig:
         except ValueError as exc:
             assert "mesh needs" in str(exc) or "breakpoint" in str(exc)
 
-    @pytest.mark.parametrize("sweep", ["run_study", "interpolation_study"])
+    @pytest.mark.parametrize("sweep", ["run_study", "interpolation_study", "verify"])
     def test_one_call_builds_one_mesh_spec_per_point(self, monkeypatch, sweep):
-        # The construction's check keeps the specs it builds; points() hands them out.
-        built = []
+        # The construction's check keeps the specs it builds; points() hands them out,
+        # and each point's mesh is built once.
+        built, meshes = [], []
         check = MeshSpec.__post_init__
 
         def counted(spec):
             built.append(spec)
             check(spec)
 
+        def counted_generate(spec):
+            meshes.append(spec)
+            return generate(spec)
+
         monkeypatch.setattr(MeshSpec, "__post_init__", counted)
+        for module in (study, cli):
+            monkeypatch.setattr(module, "generate", counted_generate)
         if sweep == "run_study":
             run_study(small_config())
-        else:
+        elif sweep == "interpolation_study":
             interpolation_study("roos", 1, (8, 16), (1e-6, 1e-8))
-        assert len(built) == 4
+        else:
+            assert cli.main(["verify"]) == 0   # 2 degrees x 4 N x 6 epsilons
+        points = 48 if sweep == "verify" else 4
+        assert len(built) == len(meshes) == points
 
     def test_kept_points_are_outside_equality_hash_and_repr(self):
         cfg = small_config()
@@ -306,7 +316,7 @@ class TestSolvePoint:
     def test_matches_the_chain_it_runs_bit_for_bit(self, family, k, eps):
         sigma, c1 = defaults_for(k)
         spec = MeshSpec(family=family, N=16, sigma=sigma, epsilon=eps, c1=c1)
-        fem, tri = solve_point("layer-test", spec, k)
+        fem, tri = solve_point("layer-test", generate(spec), k)
 
         bvp = get_problem("layer-test", eps)
         ref = galerkin_solve(bvp, generate(spec), k)
@@ -321,13 +331,13 @@ class TestSolvePoint:
         config = small_config(N_list=(16,), epsilons=(1e-8,))
         rec = run_study(config).records[0]
         spec = MeshSpec(family="roos", N=16, sigma=2.0, epsilon=1e-8, c1=2.5)
-        _, tri = solve_point("layer-test", spec, 1)
+        _, tri = solve_point("layer-test", generate(spec), 1)
         assert (rec.e_inf, rec.e_l2, rec.e_energy) == (tri.e_inf, tri.e_l2, tri.e_energy)
 
     def test_problem_without_exact_solution_raises(self, no_exact_problem):
         spec = MeshSpec(family="roos", N=8, sigma=2.0, epsilon=1e-6)
         with pytest.raises(ValueError, match="exact"):
-            solve_point(no_exact_problem, spec, 1)
+            solve_point(no_exact_problem, generate(spec), 1)
 
     def test_study_records_a_problem_without_exact_solution(self, no_exact_problem):
         result = run_study(small_config(problem=no_exact_problem))
@@ -424,7 +434,7 @@ class TestInterpolatePoint:
     def test_matches_the_chain_it_runs_bit_for_bit(self, family, k, eps):
         sigma, c1 = defaults_for(k)
         spec = MeshSpec(family=family, N=16, sigma=sigma, epsilon=eps, c1=c1)
-        tri, corr = interpolate_point("layer-test", spec, k)
+        tri, corr = interpolate_point("layer-test", generate(spec), k)
 
         exact = get_problem("layer-test", eps).exact
         bundle = build_bundle(exact, generate(spec), k)
@@ -440,7 +450,7 @@ class TestInterpolatePoint:
     def test_problem_without_exact_solution_raises(self, no_exact_problem):
         spec = MeshSpec(family="roos", N=8, sigma=2.0, epsilon=1e-6)
         with pytest.raises(ValueError, match="exact solution"):
-            interpolate_point(no_exact_problem, spec, 1)
+            interpolate_point(no_exact_problem, generate(spec), 1)
 
 
 class TestInterpolationStudy:

@@ -10,7 +10,7 @@ the record holds as hex floats
 
 * ``galerkin``: (e_inf, e_l2, e_energy) of the Galerkin solution (``run_study``);
 * ``interpolant``: (e_inf, e_l2, e_energy, correction_energy) of the Lagrange
-  interpolant and the layer correction (a one-point ``interpolation_study``).
+  interpolant and the layer correction (``interpolate_point`` on the point's mesh).
 
 It also stores the numpy version, because the bits depend on numpy, its BLAS
 and the CPU's SIMD ``exp``/``log``: a mismatch on another platform is not by
@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from layerfem.study import StudyConfig, interpolation_study, run_study
+from layerfem.mesh import generate
+from layerfem.study import StudyConfig, interpolate_point, run_study
 
 RECORD = Path(__file__).resolve().parent.parent / "tests" / "bit_record.json"
 
@@ -44,11 +45,9 @@ def main(argv: list[str]) -> int:
     }
     interpolant = {}
     for spec, k in config.points():
-        family = spec.family.value
-        row = interpolation_study(family, k, (spec.N,), (spec.epsilon,), config.problem,
-                                  spec.sigma, spec.c1)[0]
-        values = (row.u_inf, row.u_l2, row.u_energy, row.correction_energy)
-        interpolant[record_key(family, k, spec.N, spec.epsilon)] = [v.hex() for v in values]
+        tri, corr = interpolate_point(config.problem, generate(spec), k)
+        values = (tri.e_inf, tri.e_l2, tri.e_energy, corr)
+        interpolant[record_key(spec.family.value, k, spec.N, spec.epsilon)] = [v.hex() for v in values]
     head = {
         "description": "hex-float error norms of the 408 default StudyConfig points",
         "numpy": np.__version__,
