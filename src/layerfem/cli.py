@@ -214,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
             cells = [row.u_inf, row.u_l2, row.u_energy, row.correction_energy]
             line = f"{row.N:>6}"
             for idx, val in enumerate(cells):
-                if row.N != 2 * prev_n or prev[idx] <= 0.0 or val <= 0.0:
+                if row.N != 2 * prev_n or not (prev[idx] > 0.0 and val > 0.0):
                     rate = "  --"
                 else:
                     rate = f"{np.log2(prev[idx] / val):.2f}"

@@ -425,9 +425,9 @@ def solve(system: ElementSystem) -> np.ndarray:
     k >= 3 take three batched dgesv calls (w, y, y of the residual).  Solving
     y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 
-    Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the
-    vertex system (with its elimination step), or on a singular interior block
-    or one with an infinite entry (with its element).
+    Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the vertex system
+    (with its elimination step) or a singular or infinite interior block (with its element),
+    a ValueError naming the element of a non-finite load, else a FloatingPointError.
     """
     condensed = _Condensation(system.matrices)
     x = condensed.solve(system.loads)
@@ -439,6 +439,10 @@ def solve(system: ElementSystem) -> np.ndarray:
         finite = np.isfinite(system.matrices[:, 1:k, 1:k]).all(axis=(1, 2))
         if not finite.all():
             raise SingularMatrixError(element=int(finite.argmin()))
+        finite = np.isfinite(system.loads).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"element {int(finite.argmin())} has a non-finite load")
+        raise FloatingPointError("the solution overflows to non-finite values")
     return x[1:-1]
 
 

@@ -27,8 +27,12 @@ to gemv, which rounds otherwise, so those keep the broadcast
 integrated as (|d| + delta/2)*(delta/2) against 4w, the same bits with one
 array pass fewer while those factors stay normal (see _error_integrals).
 A level reads all its tables, [t; 1], w, 4w and the shapes, in one cache lookup.
-The energy norm of a piecewise polynomial itself is exact from the reference
-stiffness and mass.
+Past the reach of an exact solution's far field u is a polynomial of degree <= 1,
+so on each element whose left node lies there (never element 0) u - fem is one of
+degree k: its integrals are h*d^T M d and d^T K d/h exactly, from its values d at
+the nodes and the reference mass M and stiffness K, as is the energy norm of a
+piecewise polynomial itself, and its max norm samples the 4- and 8-panel points.
+This pays from _MIN_FAR such elements on; with fewer, all elements run the levels.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ _REL_TOL = 1e-10
 _START_PANELS = 4
 _MAX_PANELS = 64
 _CHUNK_POINTS = 8192  # per exact call: 64 KiB per array of its temporaries
+_MIN_FAR = 40  # far elements that save more level time than their exact norms cost
 # Bound on the absolute error of a computed difference, per unit of the size
 # of the values it subtracts.
 _ROUNDOFF = 8.0 * np.finfo(float).eps
@@ -73,6 +78,28 @@ def _level_table(degree: int, panels: int) -> tuple[np.ndarray, ...]:
     wts = np.tile(weights / panels, panels)
     shape, slope = shape_tables(degree, pts)
     return _frozen(_point_table(pts), wts, 4.0 * wts, shape, slope, np.abs(shape), np.abs(slope))
+
+
+@functools.lru_cache(maxsize=16)
+def _polynomial_tables(degree: int) -> tuple[np.ndarray, ...]:
+    """The exact polynomial norms' tables: [t; 1] of the nodes t = j/k and the 4- and 8-panel
+    points, the shape values there, and the (2, (k+1)^2) reference mass and stiffness."""
+    t = np.concatenate([np.linspace(0.0, 1.0, degree + 1)] + [
+        _level_table(degree, panels)[0][0] for panels in (_START_PANELS, 2 * _START_PANELS)])
+    stiff, _, mass, _ = _element_tables(degree, degree + 1)
+    mass_stiff = np.stack([gauss_legendre(degree + 1)[1] @ mass, stiff])
+    return _frozen(_point_table(t), shape_tables(degree, t)[0], mass_stiff)
+
+
+def _far_norms(rows: np.ndarray, coeff: np.ndarray, poly: Callable) -> tuple[float, float, float]:
+    """Max |poly - fem| at the 4- and 8-panel points, and the sums of h*d^T M d and d^T K d/h,
+    over the elements of rows (h_i, x_i) and (E, k+1) coefficients ``coeff``."""
+    degree = coeff.shape[1] - 1
+    table, shape, mass_stiff = _polynomial_tables(degree)
+    diff = poly(_element_points(rows, table)) - coeff @ shape
+    d = diff[:, : degree + 1]   # exactly poly - c at the nodes
+    sums = (d[:, :, None] * d[:, None, :]).reshape(d.shape[0], -1) @ mass_stiff.T
+    return np.abs(diff[:, degree + 1 :]).max(), rows[:, 0] @ sums[:, 0], (sums[:, 1] / rows[:, 0]).sum()
 
 
 def _error_integrals(u, fem, abs_fem, scratch, w, w4, out, peaks=None) -> None:
@@ -110,27 +137,33 @@ def _settled(new, old) -> np.ndarray:
     return ok[0] & ok[1]
 
 
-def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> ErrorTriple:
+def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
+                far_field: tuple[float, Callable] | None = None) -> ErrorTriple:
     """Norms of exact - fem over the fem's mesh.
 
-    ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for
-    a constant; it runs once per level and chunk and once at the global nodes,
-    and what it returns is only read.  The round-off bounds take its values as
-    accurate to a few ulps of their own size: only then does a polynomial that
-    ``fem`` reproduces exactly settle at the first comparison.
+    ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for a
+    constant; it runs once at the global nodes and once per level and chunk, on the
+    elements short of the reach of ``far_field`` (:attr:`.ExactSolution.far_field`),
+    and what it returns is only read.  The round-off bounds take its values as accurate
+    to a few ulps of their own size: only then does a polynomial that ``fem``
+    reproduces exactly settle at the first comparison.
     """
     mesh, degree = fem.mesh, fem.degree
     h, h_left, coeff = mesh.steps, _element_rows(mesh), fem.element_coefficients()
-    abs_coeff = np.abs(coeff)
+    # Elements [0, m) run the levels, [m, N) lie in the far field, where there are enough.
+    m = mesh.N if far_field is None else 1 + int(np.searchsorted(mesh.nodes[1:-1], far_field[0]))
+    m = m if mesh.N - m >= _MIN_FAR else mesh.N
+    abs_coeff = np.abs(coeff[:m])
 
-    # Largest |exact - fem| at the global nodes and then at each level's points.
-    peaks = [np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients).max()]
-    # Room for five arrays of the 8-panel level over all elements.
-    work = np.empty(5 * mesh.N * (degree + 3) * 2 * _START_PANELS)
+    far = _far_norms(h_left[m:], coeff[m:], far_field[1]) if m < mesh.N else (0.0, 0.0, 0.0)
+    # Largest |exact - fem| at the global nodes, in the far field and then at each level's points.
+    peaks = [np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients).max(), far[0]]
+    # Room for five arrays of the 8-panel level over the near elements.
+    work = np.empty(5 * m * (degree + 3) * 2 * _START_PANELS)
 
     def level(elems, panels):
-        # The (2, 2, n) results on ``elems``: an index array, or slice(None)
-        # for the whole mesh, whose arrays are then read without copies.
+        # The (2, 2, n) results on ``elems``: an index array, or slice(m)
+        # for all near elements, whose arrays are then read without copies.
         nonlocal work
         table, wts, wts4, shape, slope, abs_shape, abs_slope = _level_table(degree, panels)
         he, npts = h[elems], table.shape[1]
@@ -158,10 +191,10 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
         sq *= he
         return sq
 
-    # Every element takes part in the first comparison, whose 8-panel
+    # Every near element takes part in the first comparison, whose 8-panel
     # results replace the 4-panel ones.
-    sq = level(slice(None), _START_PANELS)
-    new = level(slice(None), 2 * _START_PANELS)
+    sq = level(slice(m), _START_PANELS)
+    new = level(slice(m), 2 * _START_PANELS)
     active, sq, panels = (~_settled(new, sq)).nonzero()[0], new, 4 * _START_PANELS
     while active.size and panels <= _MAX_PANELS:
         new = level(active, panels)
@@ -171,6 +204,7 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float) -> Er
 
     # Fixed element order keeps the reductions deterministic.
     val2, der2 = sq[0].sum(axis=1).tolist()
+    val2, der2 = val2 + far[1], der2 + far[2]
     e_energy = math.sqrt(epsilon * der2 + val2)
     return ErrorTriple(e_inf=float(np.max(peaks)), e_l2=math.sqrt(val2), e_energy=e_energy)
 
@@ -188,7 +222,7 @@ def polynomial_energy_norm(fem: PiecewisePolynomial, epsilon: float) -> float:
     touched[np.maximum(nonzero - 1, 0) // k] = touched[np.minimum(nonzero // k, n_elem - 1)] = True
     elems = np.flatnonzero(touched)
     c, h = fem.coefficients[k * elems[:, None] + np.arange(k + 1)], fem.mesh.steps[elems]
-    stiff, _, mass, _ = _element_tables(k, k + 1)
+    mass, stiff = _polynomial_tables(k)[2]
     pairs = (c[:, :, None] * c[:, None, :]).reshape(elems.size, (k + 1) ** 2)
-    energy = epsilon * (pairs @ stiff) / h + h * (pairs @ (gauss_legendre(k + 1)[1] @ mass))
+    energy = epsilon * (pairs @ stiff) / h + h * (pairs @ mass)
     return math.sqrt(float(np.sum(energy)))

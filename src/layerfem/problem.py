@@ -8,7 +8,8 @@ with b >= beta > 1 and c + b'/2 >= gamma > 0, so the solution develops a
 boundary layer of width O(epsilon*log(1/epsilon)) at x = 0 and splits into a
 smooth part plus a layer part, u = S + E.  Coefficient callables must accept
 numpy arrays and be pure.  An exact solution gives (u, u') from one call, of
-which u is the first entry, and the split u = S + E used by the interpolants.
+which u is the first entry, the split u = S + E used by the interpolants, and
+optionally its far field, where u is a polynomial of degree <= 1.
 """
 
 from __future__ import annotations
@@ -35,24 +36,33 @@ _TOL = 1e-12        # validate's bound on |u| at the ends and on u - (S + E)
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact solution: (u, u') from one call and the split u = S + E (smooth + layer)."""
+    """Exact solution: (u, u') from one call, the split u = S + E (smooth + layer) and
+    optionally the far field (reach, p): u = p, of degree <= 1, in floating point past reach."""
 
     u_and_prime: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     S: ScalarFn
     E: ScalarFn
+    far_field: tuple[float, ScalarFn] | None = None
 
     def u(self, x: np.ndarray) -> np.ndarray:
         """u at ``x``: the first entry of ``u_and_prime(x)``, its one source."""
         return self.u_and_prime(x)[0]
 
     def validate(self) -> None:
-        """Check u(0) = u(1) = 0 and u = S + E on a uniform grid."""
-        if abs(float(self.u(np.array(0.0)))) > _TOL or abs(float(self.u(np.array(1.0)))) > _TOL:
+        """Check u(0) = u(1) = 0, u = S + E and u = p past reach on a uniform grid."""
+        # Each test is written so that a NaN fails it.
+        if not np.all(np.abs(self.u(np.array([0.0, 1.0]))) <= _TOL):
             raise ValueError("exact solution must vanish at both endpoints")
         x = np.linspace(0.0, 1.0, _N_SAMPLES)
-        gap = np.max(np.abs(self.u(x) - (self.S(x) + self.E(x))))
-        if gap > _TOL:
+        u = self.u(x)
+        gap = np.max(np.abs(u - (self.S(x) + self.E(x))))
+        if not gap <= _TOL:
             raise ValueError(f"u and S + E disagree by {gap:.3e} (> {_TOL:.0e})")
+        if self.far_field is not None:
+            reach, poly = self.far_field
+            gap = np.max(np.abs(u - poly(x))[x >= reach], initial=0.0)
+            if not gap == 0.0:
+                raise ValueError(f"u and its far field differ past reach {reach:.6g} by {gap:.3e}")
 
 
 @dataclass(frozen=True)
@@ -104,17 +114,18 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
 
         u(x) = (1 - x) * (1 - exp(-2x/epsilon)),
 
-    split as S(x) = 1 - x and E(x) = -(1 - x)*exp(-2x/epsilon).  The forcing
-    f is evaluated from the closed-form derivatives: with E0 = exp(-2x/eps),
+    split as S(x) = 1 - x and E(x) = -(1 - x)*exp(-2x/epsilon), with far field
+    (reach, 1 - x) for reach below.  The forcing f is evaluated from the
+    closed-form derivatives: with E0 = exp(-2x/eps),
 
         u'  = -1 + E0*(1 + 2(1-x)/eps)
         u'' = -(2/eps)*E0*(2 + 2(1-x)/eps)
 
     and f = -eps*u'' - (3-x)*u' + u; u_and_prime and f evaluate E0 once per call.
     -2x/eps is floored at a_min = log(2^-56 * eps/(1+eps)), so exp never
-    underflows, and u_and_prime returns (1 - x, -1) for an array wholly at
-    x >= reach = -eps*a_min/2.  Both are bit-identical on [0, 1], as every E0
-    they change is at most E = 2^-56 * eps/(1+eps): (a) 1 - E0 rounds to 1;
+    underflows.  The floor changes no bit on [0, 1], and (u, u') is exactly
+    (1 - x, -1) at x >= reach = -eps*a_min/2, as every E0 the floor or the far
+    field touch is at most E = 2^-56 * eps/(1+eps): (a) 1 - E0 rounds to 1;
     (b) s = 1 + 2(1-x)/eps has s*E0 <= (1 + 2/eps)*E <= 2^-55, so s*E0 - 1
     rounds to -1; (c) f's diffusion term 2*E0*(2 + 2(1-x)/eps) <= 2^-54 is
     absorbed by 3 - x in [2, 3].
@@ -142,12 +153,7 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         return e0, u_x, s
 
     def u_and_prime(x):
-        # Screened on the first entry, so a mixed array pays no reduction.
-        x = np.asarray(x)
-        if x.size and x.item(0) >= reach and x.min() >= reach:
-            u_x = 1.0 - x
-            return u_x, np.full_like(u_x, -1.0)
-        return layer_terms(x)[1:]
+        return layer_terms(np.asarray(x))[1:]
 
     def smooth(x):
         return 1.0 - x
@@ -168,7 +174,7 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         e0, u_x, du_x = layer_terms(x)
         return -eps * (-(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)) - b(x) * du_x + u_x
 
-    exact = ExactSolution(u_and_prime=u_and_prime, S=smooth, E=layer)
+    exact = ExactSolution(u_and_prime=u_and_prime, S=smooth, E=layer, far_field=(reach, smooth))
     return TwoPointBVP(epsilon=eps, b=b, c=c, f=f, b_prime=b_prime, exact=exact)
 
 

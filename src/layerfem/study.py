@@ -168,7 +168,7 @@ def solve_point(problem: str, mesh: Mesh1D, k: int) -> tuple[PiecewisePolynomial
     if bvp.exact is None:
         raise ValueError(f"problem {problem!r} has no exact solution to measure against")
     fem = galerkin_solve(bvp, mesh, k)
-    return fem, error_norms(fem, bvp.exact.u_and_prime, bvp.epsilon)
+    return fem, error_norms(fem, bvp.exact.u_and_prime, bvp.epsilon, far_field=bvp.exact.far_field)
 
 
 def interpolate_point(problem: str, mesh: Mesh1D, k: int) -> tuple[ErrorTriple, float]:
@@ -176,7 +176,7 @@ def interpolate_point(problem: str, mesh: Mesh1D, k: int) -> tuple[ErrorTriple, 
     its layer correction: the one chain of :func:`interpolation_study` and ``verify``."""
     bvp = get_problem(problem, mesh.spec.epsilon)
     bundle = build_bundle(bvp.exact, mesh, k)
-    tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, bvp.epsilon)
+    tri = error_norms(bundle.u_interp, bvp.exact.u_and_prime, bvp.epsilon, far_field=bvp.exact.far_field)
     return tri, polynomial_energy_norm(bundle.correction, bvp.epsilon)
 
 
@@ -198,22 +198,15 @@ def aggregate(records: list[ConvergenceRecord]) -> list[AggregateRow]:
 
     uniform: dict[tuple[str, int, float, int], float] = {}
     for key, recs in groups.items():
-        if any(r.error is not None for r in recs):
-            uniform[key] = float("nan")
-        else:
-            uniform[key] = max(r.e_energy for r in recs)
+        ok = all(r.error is None and math.isfinite(r.e_energy) for r in recs)
+        uniform[key] = max(r.e_energy for r in recs) if ok else math.nan
 
     rows = []
     for (family, k, sigma, n_intervals) in sorted(uniform):
         e_n = uniform[(family, k, sigma, n_intervals)]
         e_2n = uniform.get((family, k, sigma, 2 * n_intervals))
         rate = None
-        if (
-            e_2n is not None
-            and math.isfinite(e_n)
-            and math.isfinite(e_2n)
-            and min(e_n, e_2n) > _RATE_FLOOR
-        ):
+        if e_2n is not None and e_n > _RATE_FLOOR and e_2n > _RATE_FLOOR:   # False for NaN
             rate = math.log2(e_n / e_2n)
         rows.append(AggregateRow(family, k, sigma, n_intervals, e_n, rate))
     return rows
@@ -324,6 +317,8 @@ def _interpolation_rows(problem: str, points: Iterable[tuple[Mesh1D, int]]) -> l
     worst: dict[tuple[int, int], list[float]] = {}
     for mesh, k in points:
         tri, corr = interpolate_point(problem, mesh, k)
-        prev = worst.get((k, mesh.N), [0.0] * 4)
-        worst[k, mesh.N] = [max(w, v) for w, v in zip(prev, (tri.e_inf, tri.e_l2, tri.e_energy, corr))]
+        prev, values = worst.get((k, mesh.N), [0.0] * 4), (tri.e_inf, tri.e_l2, tri.e_energy, corr)
+        # A non-finite value fails its point, and its row reads NaN whatever the point order.
+        ok = all(map(math.isfinite, values + tuple(prev)))
+        worst[k, mesh.N] = [max(w, v) if ok else math.nan for w, v in zip(prev, values)]
     return [InterpolationRow(k, n_intervals, *w) for (k, n_intervals), w in worst.items()]

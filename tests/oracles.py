@@ -1,10 +1,12 @@
 """Reference code that only the tests read: the assembled system as a dense
 matrix and right-hand side, the first derivative of a piecewise polynomial,
 the energy norm of a piecewise polynomial by a scan of the whole mesh, the
-two graded maps as written before they shared one generating function, and
-the rate fit over a sequence of errors."""
+two graded maps as written before they shared one generating function, the
+rate fit over a sequence of errors, and the reference mass and stiffness and
+the far-field error integrals in exact rational arithmetic."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,3 +101,65 @@ def fitted_rate(errors: list[float], pairs: int = 3) -> float:
     ratios = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     tail = ratios[-pairs:]
     return sum(tail) / len(tail)
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def exact_reference_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1, k+1) reference mass and stiffness matrices, the integrals over
+    [0, 1] of phi_a*phi_b and phi_a'*phi_b' for the Lagrange shape functions on
+    the nodes j/k, as object arrays of Fractions."""
+    nodes = [Fraction(j, k) for j in range(k + 1)]
+    basis = []   # coefficients, constant term first
+    for a, t_a in enumerate(nodes):
+        phi = [Fraction(1)]
+        for t_m in nodes[:a] + nodes[a + 1 :]:
+            phi = _poly_mul(phi, [-t_m / (t_a - t_m), 1 / (t_a - t_m)])
+        basis.append(phi)
+    slopes = [[i * c for i, c in enumerate(phi)][1:] for phi in basis]
+    integral = lambda p: sum(c / (i + 1) for i, c in enumerate(p))
+    mass = [[integral(_poly_mul(p, q)) for q in basis] for p in basis]
+    stiff = [[integral(_poly_mul(p, q)) for q in slopes] for p in slopes]
+    return np.array(mass, dtype=object), np.array(stiff, dtype=object)
+
+
+_SCALE = 2**1074   # every finite double times this is an integer
+
+
+def _scaled(values: np.ndarray) -> np.ndarray:
+    """``values * 2**1074`` as an object array of exact Python integers."""
+    out = np.empty(values.shape, dtype=object)
+    for index, v in np.ndenumerate(values):
+        num, den = float(v).as_integer_ratio()
+        out[index] = num * (_SCALE // den)
+    return out
+
+
+def exact_far_integrals(rows: np.ndarray, coeff: np.ndarray) -> tuple[Fraction, Fraction, np.ndarray]:
+    """The sums of h*d^T M d and d^T K d/h over the elements of ``rows`` (h_i, x_i)
+    and (E, k+1) coefficients ``coeff``, exactly: d_j = (1 - x) - c_j at the points
+    x = x_i + (j/k)*h_i, with the floats taken as exact and M and K from
+    :func:`exact_reference_tables`.  Also returns d, correctly rounded to floats."""
+    k = coeff.shape[1] - 1
+    h, x, c = _scaled(rows[:, 0]), _scaled(rows[:, 1]), _scaled(coeff)
+    # k*2**1074*d, an integer: d = (1 - x_i - c_j) - (j/k)*h_i.
+    d = k * (_SCALE - x[:, None] - c) - np.arange(k + 1) * h[:, None]
+    sums = []
+    for table in exact_reference_tables(k):
+        den = math.lcm(*(v.denominator for v in table.flat))
+        forms = (d @ (table * den).astype(int).astype(object) * d).sum(axis=1)
+        sums.append((forms, den * (k * _SCALE) ** 2))
+    (mass, mass_den), (stiff, stiff_den) = sums
+    val = Fraction(int(np.sum(h * mass)), mass_den * _SCALE)
+    # d^T K d/h summed over a common denominator: the steps h_i are floats, so the
+    # lcm of their scaled values is 2**1074 times the lcm of their odd parts.
+    lcm = math.lcm(*(int(v) for v in h))
+    der = Fraction(int(np.sum(stiff * np.array([lcm // int(v) for v in h], dtype=object))),
+                   stiff_den * lcm) * _SCALE
+    return val, der, np.array([[int(v) / (k * _SCALE) for v in row] for row in d])

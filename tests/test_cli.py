@@ -18,7 +18,7 @@ from layerfem import (
     generate,
     solve_point,
 )
-from layerfem import cli
+from layerfem import cli, study
 from layerfem.cli import main
 
 
@@ -439,6 +439,24 @@ class TestVerifyCommand:
             "coarse_steps_bounded=False, midpoint_left_of_half=False)",
             "  all step-size bounds hold: NO",
         ]
+
+    def test_a_non_finite_error_prints_err_and_no_rate(self, capsys, monkeypatch):
+        real = study.interpolate_point
+
+        def nan_at_128(problem, mesh, k):
+            tri, corr = real(problem, mesh, k)
+            return (tri, math.nan) if mesh.N == 128 else (tri, corr)
+
+        monkeypatch.setattr(study, "interpolate_point", nan_at_128)
+        assert main(["verify", "--k", "1", "--N", "64", "--N", "128", "--N", "256",
+                     "--epsilon", "1e-6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("interpolation errors, k = 1 (max over epsilon)") + 2
+        rows = [line.split() for line in lines[start:start + 3]]
+        assert "nan" not in "\n".join(lines)
+        # The point failed: its row reads ERR throughout, with no rate in it or below it.
+        assert rows[1] == ["128"] + ["ERR", "--"] * 4
+        assert rows[2][2::2] == ["--"] * 4 and "ERR" not in rows[0] + rows[2]
 
     def test_a_rate_is_printed_only_where_n_doubles_from_the_row_above(self, capsys):
         code = main(["verify", "--k", "1", "--N", "64", "--N", "128", "--N", "512", "--N", "256",

@@ -549,6 +549,29 @@ class TestBandedSolve:
             if np.isinf(value) and 0 < entry[1] < k and 0 < entry[2] < k:
                 assert raised.value.element == entry[0]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_load_names_its_element(self, k, value):
+        # Before, the solve returned non-finite coefficients here.
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, k)
+        loads = system.loads.copy()
+        loads[3, 1] = value
+        broken = ElementSystem(matrices=system.matrices, loads=loads, degree=k)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^element 3 has a non-finite load$"):
+                solve(broken)
+
+    def test_overflow_without_a_non_finite_input_raises(self):
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        system = assemble(bvp, mesh, 2)
+        huge = ElementSystem(matrices=system.matrices, loads=system.loads * 1e308, degree=2)
+        assert np.isfinite(huge.loads).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            solve(huge)
+
     def test_boundary_rows_and_columns_are_not_part_of_the_system(self):
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,16 +23,19 @@ from layerfem import (
     layer_test_problem,
     polynomial_energy_norm,
 )
-from layerfem.femcore import global_nodes
+from layerfem.femcore import _element_rows, global_nodes
 from layerfem.norms import (
     _CHUNK_POINTS,
     _MAX_PANELS,
+    _MIN_FAR,
     _REL_TOL,
     _ROUNDOFF,
     _START_PANELS,
+    _far_norms,
     _level_table,
+    _polynomial_tables,
 )
-from oracles import derivative, whole_mesh_energy_norm
+from oracles import derivative, exact_far_integrals, exact_reference_tables, whole_mesh_energy_norm
 
 
 def pair(f, df):
@@ -408,6 +412,98 @@ def test_max_norm_close_to_dense_sampling(family, k):
             dense = np.max(np.abs(bvp.exact.u(x) - fem.evaluate(x)))
             e_inf = error_norms(fem, bvp.exact.u_and_prime, eps).e_inf
             assert dense * (1.0 - 5e-3) <= e_inf <= dense * (1.0 + 5e-3)
+
+
+def _far_rounding_bound(rows, d, exact_table, weights):
+    """Bound on |float - exact| of the far sum of weights_i * d_i^T A d_i, from the
+    exact node values d and the exact table A.  The float d differs from d by at most
+    delta = 2u(1 + 2h + |d|) per node: u(3h + |x|) from the node x_i + t_j*h_i, u|1 - x|
+    from 1 - x and u|d| from the difference.  So with e = |d| + delta the quadratic
+    form moves by at most 2 delta^T |A| e; the float reference table, within
+    16u max|A| of A in every entry (8.2u at most for k <= 4), by that times (sum e)^2;
+    and evaluating and summing the forms by 8 ulps of the summed sizes e^T |A| e."""
+    u = 2.0**-53
+    delta = 2.0 * u * (1.0 + 2.0 * rows[:, :1] + np.abs(d))
+    e = np.abs(d) + delta
+    size = np.abs(exact_table.astype(float))
+    form = lambda a, b: np.einsum("ia,ab,ib->i", a, size, b)
+    table = 16.0 * u * size.max() * e.sum(axis=1) ** 2
+    return weights @ (2.0 * form(delta, e) + table + 8.0 * u * form(e, e))
+
+
+@pytest.mark.parametrize("family", ["roos", "kopteva"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("eps", [1e-4, 1e-9])
+def test_far_part_is_the_exact_rational_integral_to_rounding(family, k, n, eps):
+    # Past reach u is 1 - x exactly, so on the far elements the integrals of
+    # (u - fem)^2 and (u' - fem')^2 are rational in the float data: the oracle
+    # computes them exactly, and the float far part must lie within the rounding
+    # bound of _far_rounding_bound.  Galerkin errors there are well above
+    # round-off; the interpolant's are round-off, since u^I reproduces 1 - x.
+    bvp = layer_test_problem(eps)
+    mesh = graded_mesh(family, k, n, eps)
+    reach, poly = bvp.exact.far_field
+    m = int(np.searchsorted(mesh.nodes, reach))   # the first element whose left node is >= reach
+    assert 0 < m < n
+    rows = _element_rows(mesh)[m:]
+    mass, stiff = exact_reference_tables(k)
+    for fem in (galerkin_solve(bvp, mesh, k), build_bundle(bvp.exact, mesh, k).u_interp):
+        coeff = fem.element_coefficients()[m:]
+        _, val2, der2 = _far_norms(rows, coeff, poly)
+        exact_val2, exact_der2, d = exact_far_integrals(rows, coeff)
+        bound = _far_rounding_bound(rows, d, mass, rows[:, 0])
+        assert abs(Fraction(float(val2)) - exact_val2) <= bound
+        bound = _far_rounding_bound(rows, d, stiff, 1.0 / rows[:, 0])
+        assert abs(Fraction(float(der2)) - exact_der2) <= bound
+
+
+def test_exact_reference_tables_are_the_known_matrices_and_the_float_ones_to_rounding():
+    mass, stiff = exact_reference_tables(1)
+    assert mass.tolist() == [[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 3)]]
+    assert stiff.tolist() == [[1, -1], [-1, 1]]
+    for k in (1, 2, 3, 4):
+        for table, exact_table in zip(_polynomial_tables(k)[2], exact_reference_tables(k)):
+            gap = [abs(Fraction(a) - b) for a, b in zip(table, exact_table.flat)]
+            assert max(gap) <= 16 * Fraction(2.0**-53) * max(map(abs, exact_table.flat))
+        mass, stiff = exact_reference_tables(k)
+        assert sum(mass.flat) == 1 and sum(stiff.flat) == 0
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
+def test_no_exact_call_sees_a_far_element(kind):
+    # Past reach the norms need no exact call: every level evaluates only
+    # elements left of the first one whose left node is >= reach.  The max
+    # norm keeps its bits, and the energy norm moves by round-off only.
+    fem, exact, eps = _galerkin_case(k=2, n=256, eps=1e-6)
+    if kind == "interpolant":
+        fem = lagrange_interp(exact.u, fem.mesh, 2)
+    nodes = fem.mesh.nodes
+    m = int(np.searchsorted(nodes, exact.far_field[0]))
+    assert 0 < m <= 256 - _MIN_FAR
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return exact.u_and_prime(x)
+
+    tri = error_norms(fem, counted, eps, far_field=exact.far_field)
+    assert calls[0].shape == (2 * 256 + 1,)   # the global nodes
+    assert calls[1].shape == (m, (2 + 3) * _START_PANELS)
+    assert all(x.ndim == 2 and x.max() < nodes[m] for x in calls[1:])
+    plain = error_norms(fem, exact.u_and_prime, eps)
+    assert tri.e_inf == plain.e_inf
+    assert tri.e_energy == pytest.approx(plain.e_energy, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_fewer_far_elements_than_pay_run_the_levels(n):
+    # With fewer than _MIN_FAR far elements every element runs the levels,
+    # with the bits of a call without the far field.
+    fem, exact, eps = _galerkin_case(k=2, n=n, eps=1e-6)
+    assert n - np.searchsorted(fem.mesh.nodes, exact.far_field[0]) < _MIN_FAR
+    assert error_norms(fem, exact.u_and_prime, eps, far_field=exact.far_field) == error_norms(
+        fem, exact.u_and_prime, eps)
 
 
 def _zero(x):

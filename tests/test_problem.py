@@ -131,8 +131,8 @@ class TestLayerTestProblem:
     @settings(max_examples=300, deadline=None)
     @given(eps_and_points())
     def test_floor_and_far_field_match_closed_forms_bit_for_bit(self, eps_and_x):
-        # The exponent floor and the far-field (u, u') change no bit, shape or
-        # dtype, whatever the order of the points around the reach.
+        # The exponent floor changes no bit, shape or dtype, and past the reach
+        # (u, u') is (1 - x, -1), whatever the order of the points around it.
         eps, x = eps_and_x
         bvp = layer_test_problem(eps)
         got = (*bvp.exact.u_and_prime(x), bvp.f(x))
@@ -143,6 +143,38 @@ class TestLayerTestProblem:
 
     def test_validate_passes(self):
         layer_test_problem(1e-6).exact.validate()
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_far_field_is_the_smooth_part_past_reach(self, eps):
+        exact = layer_test_problem(eps).exact
+        reach, poly = exact.far_field
+        assert poly is exact.S and 0.0 < reach < 1.0
+        x = np.linspace(reach, 1.0, 4097)
+        np.testing.assert_array_equal(exact.u(x), 1.0 - x)
+
+    @pytest.mark.parametrize("where,rule", [(0.0, "vanish at both endpoints"), (1.0, "vanish"),
+                                            (0.5005005005005005, "u and S \\+ E disagree by nan")])
+    def test_validate_rejects_a_nan_in_u(self, where, rule):
+        # A NaN compares false with every bound, so each check is written to fail on it.
+        arr = lambda x: np.asarray(x, dtype=float)
+        u = lambda x: np.where(arr(x) == where, np.nan, 0.0 * arr(x))
+        exact = ExactSolution(lambda x: (u(x), 0.0 * arr(x)), S=lambda x: 0.0 * arr(x),
+                              E=lambda x: 0.0 * arr(x))
+        with pytest.raises(ValueError, match=rule):
+            exact.validate()
+
+    def test_validate_rejects_a_wrong_far_field_naming_reach(self):
+        exact = layer_test_problem(1e-6).exact
+        reach = exact.far_field[0]
+        wrong = ExactSolution(exact.u_and_prime, exact.S, exact.E,
+                              far_field=(reach, lambda x: 1.0 - 0.999 * x))
+        # The largest gap on the grid past reach is at x = 1: 1 - 0.999 - 0 = 1e-3.
+        match = rf"^u and its far field differ past reach {reach:.6g} by 1\.000e-03$"
+        with pytest.raises(ValueError, match=match):
+            wrong.validate()
+        with pytest.raises(ValueError, match="far field"):
+            ExactSolution(exact.u_and_prime, exact.S, exact.E,
+                          far_field=(reach, lambda x: np.full_like(x, np.nan))).validate()
 
     def test_registry_lookup(self):
         bvp = get_problem("layer-test", 1e-5)

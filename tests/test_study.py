@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +45,25 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return StudyConfig(**base)
+
+
+_RECORD_KEYS = list(itertools.product(("roos", "kopteva"), (1, 2), (8, 16, 32), (1e-4, 1e-6)))
+_NORMS = st.one_of(st.floats(1e-15, 1.0), st.sampled_from([math.nan, math.inf]))
+
+
+@st.composite
+def record_lists(draw):
+    """Records of distinct (family, k, N, epsilon) points, sigma = k + 1 as in a sweep;
+    some failed, some with a NaN or infinite norm."""
+    records = []
+    for family, k, n_intervals, eps in draw(st.lists(st.sampled_from(_RECORD_KEYS), min_size=1,
+                                                      max_size=16, unique=True)):
+        point = (family, k, k + 1.0, n_intervals, eps)
+        if draw(st.booleans()) and draw(st.booleans()):
+            records.append(ConvergenceRecord(*point, math.nan, math.nan, math.nan, "failed"))
+        else:
+            records.append(ConvergenceRecord(*point, *draw(st.tuples(_NORMS, _NORMS, _NORMS))))
+    return records
 
 
 class TestConfig:
@@ -243,6 +264,15 @@ class TestRunStudy:
         assert by_n[8].rate == pytest.approx(expected)
         assert by_n[16].rate is None
 
+    def test_a_non_finite_norm_fails_its_group_in_any_record_order(self):
+        values = [0.3, math.nan, 0.2]
+        for order in itertools.permutations(values):
+            recs = [ConvergenceRecord("roos", 1, 2.0, 8, eps, 0.1, 0.1, e)
+                    for eps, e in zip((1e-4, 1e-6, 1e-8), order)]
+            [row] = aggregate(recs)
+            assert math.isnan(row.e_uniform) and row.rate is None
+            assert "ERR" in emit(recs, "table")
+
     def test_failed_run_recorded_not_raised(self):
         # theta = 1/2 - c1*eps < 0 makes the mesh spec invalid for this c1.
         cfg = small_config(families=("kopteva",), c1=6000.0, epsilons=(1e-4,), N_list=(8,))
@@ -320,7 +350,7 @@ class TestSolvePoint:
 
         bvp = get_problem("layer-test", eps)
         ref = galerkin_solve(bvp, generate(spec), k)
-        ref_tri = error_norms(ref, bvp.exact.u_and_prime, eps)
+        ref_tri = error_norms(ref, bvp.exact.u_and_prime, eps, far_field=bvp.exact.far_field)
         assert fem.mesh.spec == ref.mesh.spec
         assert (fem.mesh.spec.family.value == "uniform") == (eps > 1 / 16)
         assert fem.coefficients.tobytes() == ref.coefficients.tobytes()
@@ -381,6 +411,13 @@ class TestEmit:
         [roos_16] = [r for r in roos if r.N == 16]
         assert lines[3] == f"{16:>6}  {'':>16} {'':>6}  {format_error(roos_16.e_energy):>16} {'—':>6}"
 
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists(), st.data())
+    def test_output_does_not_depend_on_the_record_order(self, records, data):
+        shuffled = data.draw(st.permutations(records))
+        for fmt in ("csv", "table"):
+            assert emit(shuffled, fmt) == emit(records, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             emit([ConvergenceRecord("roos", 1, 2.0, 8, 1e-6, 1, 1, 1)], "json")
@@ -438,7 +475,7 @@ class TestInterpolatePoint:
 
         exact = get_problem("layer-test", eps).exact
         bundle = build_bundle(exact, generate(spec), k)
-        ref_tri = error_norms(bundle.u_interp, exact.u_and_prime, eps)
+        ref_tri = error_norms(bundle.u_interp, exact.u_and_prime, eps, far_field=exact.far_field)
         ref_corr = polynomial_energy_norm(bundle.correction, eps)
         hexes = lambda t, c: [t.e_inf.hex(), t.e_l2.hex(), t.e_energy.hex(), c.hex()]
         assert hexes(tri, corr) == hexes(ref_tri, ref_corr)
@@ -470,6 +507,20 @@ class TestInterpolationStudy:
         assert len(rows) == 2
         assert rows[0].u_energy > rows[1].u_energy > 0.0
         assert rows[0].correction_energy > rows[1].correction_energy > 0.0
+
+    def test_a_non_finite_value_fails_its_row_in_any_point_order(self, monkeypatch):
+        # A NaN dropped out of max(0.0, nan) before; now the row reads NaN.
+        values = {1e-4: (0.3, 0.2, 0.4, 0.1), 1e-6: (0.2, math.nan, 0.3, 0.1),
+                  1e-8: (0.1, 0.1, 0.5, 0.2)}
+        monkeypatch.setattr(study, "interpolate_point", lambda problem, mesh, k: (
+            study.ErrorTriple(*values[mesh.spec.epsilon][:3]), values[mesh.spec.epsilon][3]))
+        meshes = [SimpleNamespace(N=8, spec=SimpleNamespace(epsilon=eps)) for eps in values]
+        for order in itertools.permutations(meshes):
+            [row] = study._interpolation_rows("layer-test", [(mesh, 1) for mesh in order])
+            assert all(map(math.isnan, (row.u_inf, row.u_l2, row.u_energy, row.correction_energy)))
+        del values[1e-6]
+        [row] = study._interpolation_rows("layer-test", [(mesh, 1) for mesh in meshes[::2]])
+        assert (row.u_inf, row.u_l2, row.u_energy, row.correction_energy) == (0.3, 0.2, 0.5, 0.2)
 
     def test_one_error_norms_call_per_point(self, monkeypatch):
         # The correction's norm is closed-form; only u - u^I is integrated.
