@@ -380,12 +380,10 @@ class _Condensation:
         if self._k == 1:   # no interior unknowns
             return rhs
         if self._k == 2:   # 1x1 blocks, nonzero (checked above), with the bits of OpenBLAS's dgesv
-            # trsm multiplies several right-hand sides by the reciprocal pivot, trsv
-            # divides one; like LAPACK, pass non-finite values on without a warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                if rhs.shape[2] == 1:
-                    return rhs / self._a_ii
-                return rhs * (1.0 / self._a_ii)
+            # trsm multiplies several right-hand sides by the reciprocal pivot, trsv divides one.
+            if rhs.shape[2] == 1:
+                return rhs / self._a_ii
+            return rhs * (1.0 / self._a_ii)
         try:
             return np.linalg.solve(self._a_ii, rhs)
         except np.linalg.LinAlgError:
@@ -408,6 +406,7 @@ class _Condensation:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite result raises below instead
 def solve(system: ElementSystem) -> np.ndarray:
     """Solve the system by static condensation; returns the k*N - 1 unknowns.
 

@@ -31,8 +31,10 @@ Past the reach of an exact solution's far field u is a polynomial of degree <= 1
 so on each element whose left node lies there (never element 0) u - fem is one of
 degree k: its integrals are h*d^T M d and d^T K d/h exactly, from its values d at
 the nodes and the reference mass M and stiffness K, as is the energy norm of a
-piecewise polynomial itself, and its max norm samples the 4- and 8-panel points.
-This pays from _MIN_FAR such elements on; with fewer, all elements run the levels.
+piecewise polynomial itself.  Its max norm is max|d|, at global_nodes' own points,
+unless a bound (Lebesgue constant plus rounding) lets a 4- or 8-panel sample exceed
+every other value, which then takes them; no far node takes an exact call.  This
+pays from _MIN_FAR such elements on; with fewer, all elements run the levels.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .femcore import PiecewisePolynomial, _element_points, _element_rows, _element_tables
-from .femcore import _frozen, _point_table, gauss_legendre, global_nodes, shape_tables
+from .femcore import _frozen, _overlapping, _point_table, gauss_legendre, global_nodes, shape_tables
 
 __all__ = ["ErrorTriple", "error_norms", "polynomial_energy_norm"]
 
@@ -81,25 +83,46 @@ def _level_table(degree: int, panels: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _polynomial_tables(degree: int) -> tuple[np.ndarray, ...]:
-    """The exact polynomial norms' tables: [t; 1] of the nodes t = j/k and the 4- and 8-panel
-    points, the shape values there, and the (2, (k+1)^2) reference mass and stiffness."""
-    t = np.concatenate([np.linspace(0.0, 1.0, degree + 1)] + [
-        _level_table(degree, panels)[0][0] for panels in (_START_PANELS, 2 * _START_PANELS)])
+def _polynomial_tables(degree: int) -> tuple[np.ndarray, float, float]:
+    """The (2, (k+1)^2) reference mass and stiffness, and _far_norms' Lambda = max sum |phi_a(t)|
+    over the 4- and 8-panel points t and kappa = 2(rho + (5k + 19)u*Lambda): rho = max
+    |1 - sum phi_a(t)| + 2|t - sum (a/k) phi_a(t)| of the float table, computed within
+    (3k + 4)u*Lambda (the k + 1 terms of each sum, a/k; the differences are exact)."""
     stiff, _, mass, _ = _element_tables(degree, degree + 1)
     mass_stiff = np.stack([gauss_legendre(degree + 1)[1] @ mass, stiff])
-    return _frozen(_point_table(t), shape_tables(degree, t)[0], mass_stiff)
+    levels = [_level_table(degree, panels) for panels in (_START_PANELS, 2 * _START_PANELS)]
+    t = np.concatenate([level[0][0] for level in levels])
+    shape = np.hstack([level[3] for level in levels])
+    lebesgue = float(np.abs(shape).sum(axis=0).max())
+    line = t - np.arange(degree + 1) / degree @ shape
+    rho = float((np.abs(1.0 - shape.sum(axis=0)) + 2.0 * np.abs(line)).max())
+    return _frozen(mass_stiff)[0], lebesgue, 2.0 * (rho + (5 * degree + 19) * 2.0**-53 * lebesgue)
 
 
-def _far_norms(rows: np.ndarray, coeff: np.ndarray, poly: Callable) -> tuple[float, float, float]:
-    """Max |poly - fem| at the 4- and 8-panel points, and the sums of h*d^T M d and d^T K d/h,
-    over the elements of rows (h_i, x_i) and (E, k+1) coefficients ``coeff``."""
-    degree = coeff.shape[1] - 1
-    table, shape, mass_stiff = _polynomial_tables(degree)
-    diff = poly(_element_points(rows, table)) - coeff @ shape
-    d = diff[:, : degree + 1]   # exactly poly - c at the nodes
+def _far_norms(rows, nodes, values, poly: Callable) -> tuple[float, float, float, float]:
+    """Over the far elements of rows (h_i, x_i), given their global nodes and the fem's values
+    there: max |d| for d = poly - fem at the nodes, a bound B on every 4- and 8-panel sample
+    |poly - fem|, and the sums of h*d^T M d and d^T K d/h over the elements' k + 1 nodes.
+
+    On an element, with P the affine poly and t_a = a/k, poly - fem = sum_a D_a phi_a + e with
+    D_a = P(t_a) - c_a and |e| <= rho*max|P|, the float table's error in reproducing P.  Take
+    poly(x) as computed within 2u(|poly(x)| + |poly'x|), u = 2^-53, as alpha + beta*x is; then
+    sigma = (max|d| + max|c|)(3x1 - x0)/(x1 - x0) bounds |P| + |poly'|x on the far nodes
+    [x0 >= 0, x1].  A computed d_a is off D_a by 5u*sigma + u|d_a| (its node, x_{i+1} too, by
+    u(2h + x); poly; the difference), a sample by 4u*sigma (its point, poly), (k + 1)u*Lambda*
+    max|c| (the (k+1)-term product) and u*Lambda*max|d|, and B loses (k + 3)u*Lambda*max|d|.
+    As max|d|, max|c| <= sigma and Lambda >= 1, a sample is at most Lambda*max|d| +
+    (rho + (2k + 15)u*Lambda)*sigma with the exact rho; kappa doubles the slack for the
+    second-order terms.
+    """
+    degree = (values.size - 1) // rows.shape[0]
+    mass_stiff, lebesgue, kappa = _polynomial_tables(degree)
+    flat = poly(nodes) - values   # the bits of exact - fem at the global nodes
+    d = _overlapping(flat, (rows.shape[0], degree + 1), (degree * flat.itemsize, flat.itemsize))
     sums = (d[:, :, None] * d[:, None, :]).reshape(d.shape[0], -1) @ mass_stiff.T
-    return np.abs(diff[:, degree + 1 :]).max(), rows[:, 0] @ sums[:, 0], (sums[:, 1] / rows[:, 0]).sum()
+    peak, x0, x1 = np.abs(flat).max(), nodes[0], nodes[-1]
+    sigma = (peak + np.abs(values).max()) * (3.0 * x1 - x0) / (x1 - x0)
+    return peak, lebesgue * peak + kappa * sigma, rows[:, 0] @ sums[:, 0], (sums[:, 1] / rows[:, 0]).sum()
 
 
 def _error_integrals(u, fem, abs_fem, scratch, w, w4, out, peaks=None) -> None:
@@ -143,7 +166,7 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
 
     ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for a
     constant; it runs once at the global nodes and once per level and chunk, on the
-    elements short of the reach of ``far_field`` (:attr:`.ExactSolution.far_field`),
+    nodes and elements short of the reach of ``far_field`` (:attr:`.ExactSolution.far_field`),
     and what it returns is only read.  The round-off bounds take its values as accurate
     to a few ulps of their own size: only then does a polynomial that ``fem``
     reproduces exactly settle at the first comparison.
@@ -153,11 +176,13 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
     # Elements [0, m) run the levels, [m, N) lie in the far field, where there are enough.
     m = mesh.N if far_field is None else 1 + int(np.searchsorted(mesh.nodes[1:-1], far_field[0]))
     m = m if mesh.N - m >= _MIN_FAR else mesh.N
-    abs_coeff = np.abs(coeff[:m])
+    abs_coeff, nodes, values = np.abs(coeff[:m]), global_nodes(mesh, degree), fem.coefficients
+    near = degree * m if m < mesh.N else values.size   # the nodes that take an exact call
 
-    far = _far_norms(h_left[m:], coeff[m:], far_field[1]) if m < mesh.N else (0.0, 0.0, 0.0)
-    # Largest |exact - fem| at the global nodes, in the far field and then at each level's points.
-    peaks = [np.abs(exact(global_nodes(mesh, degree))[0] - fem.coefficients).max(), far[0]]
+    far = (_far_norms(h_left[m:], nodes[near:], values[near:], far_field[1]) if m < mesh.N
+           else (0.0, -math.inf, 0.0, 0.0))
+    # Largest |exact - fem| at the global nodes (u = poly past reach), then at each level's points.
+    peaks = [np.abs(exact(nodes[:near])[0] - values[:near]).max(), far[0]]
     # Room for five arrays of the 8-panel level over the near elements.
     work = np.empty(5 * m * (degree + 3) * 2 * _START_PANELS)
 
@@ -202,9 +227,14 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
         sq[..., active] = new
         active, panels = active[~settled], 2 * panels
 
+    if far[1] >= max(peaks):   # a far sample may be the largest: take them
+        for panels in (_START_PANELS, 2 * _START_PANELS):
+            table, _, _, shape = _level_table(degree, panels)[:4]
+            peaks.append(np.abs(far_field[1](_element_points(h_left[m:], table)) - coeff[m:] @ shape).max())
+
     # Fixed element order keeps the reductions deterministic.
     val2, der2 = sq[0].sum(axis=1).tolist()
-    val2, der2 = val2 + far[1], der2 + far[2]
+    val2, der2 = val2 + far[2], der2 + far[3]
     e_energy = math.sqrt(epsilon * der2 + val2)
     return ErrorTriple(e_inf=float(np.max(peaks)), e_l2=math.sqrt(val2), e_energy=e_energy)
 
@@ -222,7 +252,7 @@ def polynomial_energy_norm(fem: PiecewisePolynomial, epsilon: float) -> float:
     touched[np.maximum(nonzero - 1, 0) // k] = touched[np.minimum(nonzero // k, n_elem - 1)] = True
     elems = np.flatnonzero(touched)
     c, h = fem.coefficients[k * elems[:, None] + np.arange(k + 1)], fem.mesh.steps[elems]
-    mass, stiff = _polynomial_tables(k)[2]
+    mass, stiff = _polynomial_tables(k)[0]
     pairs = (c[:, :, None] * c[:, None, :]).reshape(elems.size, (k + 1) ** 2)
     energy = epsilon * (pairs @ stiff) / h + h * (pairs @ mass)
     return math.sqrt(float(np.sum(energy)))

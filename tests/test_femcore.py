@@ -535,7 +535,8 @@ class TestBandedSolve:
     @pytest.mark.parametrize("k", [2, 3])
     def test_nan_in_element_matrix_raises(self, k):
         # For k = 2, (3, 1, 1) is a whole 1x1 interior block.  An infinite interior
-        # entry leaves every pivot finite; the solve names its element.
+        # entry leaves every pivot finite; the solve names its element, and numpy's
+        # RuntimeWarnings from the products on the way stay inside it.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         system = assemble(bvp, mesh, k)
@@ -544,24 +545,29 @@ class TestBandedSolve:
             matrices = system.matrices.copy()
             matrices[entry] = value
             broken = ElementSystem(matrices=matrices, loads=system.loads, degree=k)
-            with pytest.raises(SingularMatrixError) as raised:
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(SingularMatrixError) as raised:
+                warnings.simplefilter("always")
                 solve(broken)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             if np.isinf(value) and 0 < entry[1] < k and 0 < entry[2] < k:
                 assert raised.value.element == entry[0]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_load_names_its_element(self, k, value):
-        # Before, the solve returned non-finite coefficients here.
+        # Before, the solve returned non-finite coefficients here, after numpy's
+        # RuntimeWarnings from the products on the way.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         system = assemble(bvp, mesh, k)
         loads = system.loads.copy()
         loads[3, 1] = value
         broken = ElementSystem(matrices=system.matrices, loads=loads, degree=k)
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ValueError, match="^element 3 has a non-finite load$"):
                 solve(broken)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_overflow_without_a_non_finite_input_raises(self):
         bvp = layer_test_problem(0.01)

@@ -23,7 +23,8 @@ from layerfem import (
     layer_test_problem,
     polynomial_energy_norm,
 )
-from layerfem.femcore import _element_rows, global_nodes
+from layerfem.femcore import _element_points, _element_rows, global_nodes
+from layerfem.mesh import Mesh1D
 from layerfem.norms import (
     _CHUNK_POINTS,
     _MAX_PANELS,
@@ -448,9 +449,11 @@ def test_far_part_is_the_exact_rational_integral_to_rounding(family, k, n, eps):
     assert 0 < m < n
     rows = _element_rows(mesh)[m:]
     mass, stiff = exact_reference_tables(k)
+    nodes = global_nodes(mesh, k)[k * m :]
     for fem in (galerkin_solve(bvp, mesh, k), build_bundle(bvp.exact, mesh, k).u_interp):
-        coeff = fem.element_coefficients()[m:]
-        _, val2, der2 = _far_norms(rows, coeff, poly)
+        coeff, values = fem.element_coefficients()[m:], fem.coefficients[k * m :]
+        peak, _, val2, der2 = _far_norms(rows, nodes, values, poly)
+        assert peak == np.abs(bvp.exact.u(nodes) - values).max()   # exact - fem at the nodes
         exact_val2, exact_der2, d = exact_far_integrals(rows, coeff)
         bound = _far_rounding_bound(rows, d, mass, rows[:, 0])
         assert abs(Fraction(float(val2)) - exact_val2) <= bound
@@ -463,7 +466,7 @@ def test_exact_reference_tables_are_the_known_matrices_and_the_float_ones_to_rou
     assert mass.tolist() == [[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 3)]]
     assert stiff.tolist() == [[1, -1], [-1, 1]]
     for k in (1, 2, 3, 4):
-        for table, exact_table in zip(_polynomial_tables(k)[2], exact_reference_tables(k)):
+        for table, exact_table in zip(_polynomial_tables(k)[0], exact_reference_tables(k)):
             gap = [abs(Fraction(a) - b) for a, b in zip(table, exact_table.flat)]
             assert max(gap) <= 16 * Fraction(2.0**-53) * max(map(abs, exact_table.flat))
         mass, stiff = exact_reference_tables(k)
@@ -472,9 +475,10 @@ def test_exact_reference_tables_are_the_known_matrices_and_the_float_ones_to_rou
 
 @pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
 def test_no_exact_call_sees_a_far_element(kind):
-    # Past reach the norms need no exact call: every level evaluates only
-    # elements left of the first one whose left node is >= reach.  The max
-    # norm keeps its bits, and the energy norm moves by round-off only.
+    # Past reach the norms need no exact call: the node pass takes the k*m nodes
+    # of the elements left of the first one whose left node is >= reach, and
+    # every level only those elements.  The max norm keeps its bits, and the
+    # energy norm moves by round-off only.
     fem, exact, eps = _galerkin_case(k=2, n=256, eps=1e-6)
     if kind == "interpolant":
         fem = lagrange_interp(exact.u, fem.mesh, 2)
@@ -488,12 +492,99 @@ def test_no_exact_call_sees_a_far_element(kind):
         return exact.u_and_prime(x)
 
     tri = error_norms(fem, counted, eps, far_field=exact.far_field)
-    assert calls[0].shape == (2 * 256 + 1,)   # the global nodes
+    np.testing.assert_array_equal(calls[0], global_nodes(fem.mesh, 2)[: 2 * m])   # the near nodes
     assert calls[1].shape == (m, (2 + 3) * _START_PANELS)
-    assert all(x.ndim == 2 and x.max() < nodes[m] for x in calls[1:])
+    assert all(x.ndim == 2 for x in calls[1:])
+    assert all(x.max() < nodes[m] for x in calls)
     plain = error_norms(fem, exact.u_and_prime, eps)
     assert tri.e_inf == plain.e_inf
     assert tri.e_energy == pytest.approx(plain.e_energy, rel=1e-8)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_far_nodes_are_the_global_nodes_bit_for_bit(k):
+    # Past reach u = poly bit for bit at the same x, so the far nodes' part of
+    # e_inf is |poly - fem| at global_nodes' own coordinates: x_i + (j/k)*h_i with
+    # j/k correctly rounded (np.linspace's j*(1/k) differs at k = 5, 6, 7, 9 and
+    # 10), and the mesh's own last node.
+    eps = 1e-8
+    bvp = layer_test_problem(eps)
+    mesh = graded_mesh("roos", k, 256, eps)
+    m = int(np.searchsorted(mesh.nodes, bvp.exact.far_field[0]))
+    assert 256 - m >= _MIN_FAR
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return bvp.exact.far_field[1](x)
+
+    fem = lagrange_interp(bvp.exact.u, mesh, k)
+    error_norms(fem, bvp.exact.u_and_prime, eps, far_field=(bvp.exact.far_field[0], counted))
+    assert np.isin(global_nodes(mesh, k)[k * m :], calls[0]).all()
+
+
+def _far_case(k, reach, steps, seed, scale):
+    """A mesh whose elements from 1 on lie past ``reach`` with relative ``steps``, and
+    nodal values of poly there perturbed by up to ``scale``: rows, nodes, values, coeff."""
+    rng = np.random.default_rng(seed)
+    nodes = np.concatenate([[0.0, reach], reach + (1.0 - reach) * np.cumsum(steps) / np.sum(steps)])
+    nodes[-1] = 1.0
+    spec = MeshSpec(family=MeshFamily.UNIFORM, N=nodes.size - 1, sigma=1.0, epsilon=0.5)
+    mesh = Mesh1D(nodes=nodes, spec=spec)
+    far = global_nodes(mesh, k)[k:]
+    poly = layer_test_problem(1e-6).exact.far_field[1]
+    values = poly(far) + scale * rng.uniform(-1.0, 1.0, far.size)
+    coeff = values[k * np.arange(mesh.N - 1)[:, None] + np.arange(k + 1)]
+    return _element_rows(mesh)[1:], far, values, coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    gap=st.floats(-4.0, -1e-9),   # reach = 1 - 10^gap, up to 0.9999
+    steps=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=40).filter(lambda s: len(s) % 2),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.one_of(st.just(0.0), st.floats(1e-18, 1e-2)),
+)
+def test_far_samples_lie_within_the_bound(k, gap, steps, seed, scale):
+    # Every 4- and 8-panel sample |poly - fem| that the levels would compute on a
+    # far element is at most _far_norms' bound B, also where poly - fem is round-off
+    # and poly is small beside its slope (reach near 1).
+    rows, nodes, values, coeff = _far_case(k, 1.0 - 10.0**gap, steps, seed, scale)
+    poly = layer_test_problem(1e-6).exact.far_field[1]
+    peak, bound, _, _ = _far_norms(rows, nodes, values, poly)
+    assert peak == np.abs(poly(nodes) - values).max()
+    for panels in (_START_PANELS, 2 * _START_PANELS):
+        table, _, _, shape = _level_table(k, panels)[:4]
+        samples = np.abs(poly(_element_points(rows, table)) - coeff @ shape)
+        assert samples.max() <= bound
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
+def test_a_far_maximum_is_sampled_with_the_bits_of_the_levels(kind):
+    # Two interior coefficients of a far element moved by +-delta put the max norm
+    # between that element's nodes: the bound lets the far part take its 4- and
+    # 8-panel samples, with the bits the levels give them.
+    fem, exact, eps = _galerkin_case(k=3, n=256, eps=1e-6)
+    if kind == "interpolant":
+        fem = lagrange_interp(exact.u, fem.mesh, 3)
+    reach, poly = exact.far_field
+    e = int(np.searchsorted(fem.mesh.nodes, reach)) + 40
+    delta = 4.0 * error_norms(fem, exact.u_and_prime, eps).e_inf
+    coeff = fem.coefficients.copy()
+    coeff[3 * e + 1] += delta
+    coeff[3 * e + 2] -= delta
+    fem = PiecewisePolynomial(mesh=fem.mesh, degree=3, coefficients=coeff)
+    calls = []
+
+    def counted(x):
+        calls.append(np.ndim(x))
+        return poly(x)
+
+    tri = error_norms(fem, exact.u_and_prime, eps, far_field=(reach, counted))
+    assert calls == [1, 2, 2]   # the far nodes, then the samples of both levels
+    assert tri.e_inf == error_norms(fem, exact.u_and_prime, eps).e_inf
+    assert tri.e_inf > np.abs(exact.u(global_nodes(fem.mesh, 3)) - coeff).max()
 
 
 @pytest.mark.parametrize("n", [8, 64])
