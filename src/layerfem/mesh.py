@@ -93,13 +93,11 @@ class MeshSpec:
 
     def _graded_map(self) -> tuple[float, float, float]:
         # (a, theta, x_theta) of the graded map; x_theta = x(theta), with
-        # rest = 1 - a*theta in closed form.  The checks run before the log,
-        # whose argument can underflow to 0 when one fails; past x = 1 the
-        # linear part would run backwards.
+        # rest = 1 - a*theta in closed form.  Kopteva's breakpoint check runs
+        # before the log, whose argument 2*c1*eps can underflow to 0 when it
+        # fails; past x = 1 the linear part would run backwards.
         eps = self.epsilon
         if self.family is MeshFamily.ROOS:
-            if not 1.0 - eps < 1.0:
-                raise ValueError(f"roos mesh needs 1 - eps < 1 in floating point, got eps = {eps}")
             a, theta, rest = 2.0 * (1.0 - eps), 0.5, eps
             condition = "sigma*eps*ln(1/eps) < 1"
         else:
@@ -157,9 +155,8 @@ def generate(spec: MeshSpec) -> Mesh1D:
 
     When epsilon > 1/N a uniform mesh is returned instead (see
     :attr:`MeshSpec.graded`); the returned mesh's spec records the fallback.
-    Otherwise the graded map's conditions are checked as it is built: roos
-    needs 1 - eps < 1 in floating point (false for eps <= 2^-54 ~ 5.55e-17),
-    kopteva the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], the layer
+    Otherwise the graded map's conditions are checked as it is built: kopteva
+    needs the breakpoint t = 1/2 - c1*eps in (0, 1/2 - 2^-52], the layer
     part must end inside the domain (roos: sigma*eps*ln(1/eps) < 1; kopteva:
     sigma*eps*ln(1/(2*c1*eps)) < 1), and a subnormal sigma*eps must leave the
     fine nodes -sigma*eps*ln(1 - a*t) distinct in floating point.  A violated
@@ -178,12 +175,14 @@ def generate(spec: MeshSpec) -> Mesh1D:
         a, theta, x_theta = spec._graded_map()
         nodes = np.empty_like(t)
         m = np.searchsorted(t, theta, "right")   # t is increasing: t[:m] <= theta
-        nodes[:m] = -spec.sigma * spec.epsilon * np.log(1.0 - a * t[:m])
-        # Only a subnormal sigma*eps has too few bits to keep the fine nodes
-        # apart (roos rejects every eps that small first).
+        # 1 - a*t is 0 only at roos's t = 1/2 when 1 - eps rounds to 1 (eps <= 2^-54), else
+        # >= 2^-53: the floor puts x_theta = -sigma*eps*ln(eps) there and moves no other node.
+        rest = np.maximum(1.0 - a * t[:m], min(spec.epsilon, 2.0**-54))
+        nodes[:m] = -spec.sigma * spec.epsilon * np.log(rest)
+        # Only a subnormal sigma*eps has too few bits to keep the fine nodes apart.
         if spec.sigma * spec.epsilon < sys.float_info.min and not np.all(np.diff(nodes[:m]) > 0.0):
-            raise ValueError("kopteva fine nodes -sigma*eps*ln(1 - 2t) must be distinct in "
-                             f"floating point, got sigma = {spec.sigma}, eps = {spec.epsilon}")
+            raise ValueError(f"{spec.family.value} mesh needs fine nodes -sigma*eps*ln(1 - a*t) distinct "
+                             f"in floating point, got sigma = {spec.sigma}, eps = {spec.epsilon}")
         nodes[m:] = 1.0 - (1.0 - x_theta) / (1.0 - theta) * (1.0 - t[m:])
         if spec.family is MeshFamily.KOPTEVA and spec.c1 > 1.0 / (spec.epsilon * N):
             warnings.warn(

@@ -72,7 +72,10 @@ def roos_map(t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:
     d = 2.0 * (1.0 + sigma * epsilon * math.log(epsilon))
     x = np.empty_like(t)
     fine = t <= 0.5
-    x[fine] = -sigma * epsilon * np.log(1.0 - 2.0 * (1.0 - epsilon) * t[fine])
+    # The log's argument is exactly eps at t = 1/2, where it rounds to 0
+    # once 1 - eps rounds to 1.
+    arg = 1.0 - 2.0 * (1.0 - epsilon) * t[fine]
+    x[fine] = -sigma * epsilon * np.log(np.where(arg > 0.0, arg, epsilon))
     x[~fine] = 1.0 - d * (1.0 - t[~fine])
     return x
 

@@ -11,6 +11,10 @@ line per criterion (visible with ``pytest -s`` or on failure):
   6. interpolation error rates (max, energy, correction energy)
   7. independent oracle suites (assembly, condensed solve vs dense LU,
      Galerkin exactness, quadrature closed form)
+  8. ||u^N - Pi u||_eps against the paper's corrected interpolant Pi u:
+     rate >= k - 0.1 in every doubling, uniformly in eps
+  9. the triangle inequality |e(u^N) - e(u^I)| <= ||u^N - u^I||_eps between
+     the energy errors of the Galerkin solution and the interpolant
 
 and checks the 408 default points bit for bit against ``bit_record.json``.
 """
@@ -18,6 +22,7 @@ and checks the 408 default points bit for bit against ``bit_record.json``.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +38,17 @@ from layerfem import (
     TwoPointBVP,
     aggregate,
     assemble,
+    build_bundle,
     check_step_sizes,
+    defaults_for,
     error_norms,
     galerkin_solve,
     generate,
+    get_problem,
     interpolate_point,
+    lagrange_interp,
     layer_test_problem,
+    polynomial_energy_norm,
     run_study,
     solve,
 )
@@ -110,7 +120,31 @@ BIT_RECORD = Path(__file__).with_name("bit_record.json")
 RECORD_FIELDS = ("e_inf", "e_l2", "e_energy", "correction_energy")
 
 
-def test_bit_identity_record(sweep):
+def _record_key(family, k, n_intervals, eps):
+    return f"{family},{k},{n_intervals},{eps!r}"
+
+
+def _minus(p: PiecewisePolynomial, q: PiecewisePolynomial) -> PiecewisePolynomial:
+    return replace(p, coefficients=p.coefficients - q.coefficients)
+
+
+@pytest.fixture(scope="module")
+def interpolant_points():
+    """At each default point, by ``_record_key``: ``interpolate_point``'s result
+    for the interpolant u^I, and ||u^N - u^I||_eps for the Galerkin solution u^N."""
+    config = StudyConfig()
+    points = {}
+    for spec, k in config.points():
+        mesh = generate(spec)
+        bvp = get_problem(config.problem, spec.epsilon)
+        gap = _minus(galerkin_solve(bvp, mesh, k), lagrange_interp(bvp.exact.u, mesh, k))
+        points[_record_key(spec.family.value, k, spec.N, spec.epsilon)] = (
+            interpolate_point(config.problem, mesh, k), polynomial_energy_norm(gap, spec.epsilon)
+        )
+    return points
+
+
+def test_bit_identity_record(sweep, interpolant_points):
     """The 408 default points keep the bits written by ``tools/bit_record.py``.
 
     The bits depend on numpy, its BLAS and the CPU, so a failure reports the
@@ -118,18 +152,12 @@ def test_bit_identity_record(sweep):
     is not by itself a regression.
     """
     record = json.loads(BIT_RECORD.read_text(encoding="utf-8"))
-    key = lambda family, k, n_intervals, eps: f"{family},{k},{n_intervals},{eps!r}"
-    config = StudyConfig()
     now = {
-        "galerkin": {key(r.family, r.k, r.N, r.epsilon): (r.e_inf, r.e_l2, r.e_energy)
+        "galerkin": {_record_key(r.family, r.k, r.N, r.epsilon): (r.e_inf, r.e_l2, r.e_energy)
                      for r in sweep[0].records},
-        "interpolant": {},
+        "interpolant": {point: (tri.e_inf, tri.e_l2, tri.e_energy, corr)
+                        for point, ((tri, corr), _) in interpolant_points.items()},
     }
-    for spec, k in config.points():
-        tri, corr = interpolate_point(config.problem, generate(spec), k)
-        now["interpolant"][key(spec.family.value, k, spec.N, spec.epsilon)] = (
-            tri.e_inf, tri.e_l2, tri.e_energy, corr
-        )
     failures, moves, total = [], [], 0
     for part, values in now.items():
         if values.keys() != record[part].keys():
@@ -310,6 +338,52 @@ def test_criterion_7_oracle_suites():
         failures.append(f"quadrature closed form: {energy!r} vs {target!r}")
 
     _finish("criterion 7 (oracle suites)", failures)
+
+
+def test_criterion_8_corrected_interpolant_rates():
+    """The paper's argument bounds ||u^N - Pi u||_eps, with Pi u the corrected
+    interpolant: its max over eps must decay at rate >= k - 0.1 in every
+    doubling of N = 16..512, for roos down to eps = 1e-100.
+
+    Observed, not claimed: with sigma = k + 1 the rates settle at 2.00 and 3.00
+    for k = 1, 2 (order k + 1, supercloseness), but at 3.00 and 4.00 for
+    k = 3, 4 (order k); k = 3 starts at 3.30.  The final rates are printed.
+    """
+    failures, observed = [], []
+    n_values = (16, 32, 64, 128, 256, 512)
+    for family in ("roos", "kopteva"):
+        epsilons = (1e-4, 1e-6, 1e-8) + ((1e-40, 1e-100) if family == "roos" else ())
+        for k in (1, 2, 3, 4):
+            sigma, c1 = defaults_for(k)
+            errors = []
+            for n_intervals in n_values:
+                gaps = []
+                for eps in epsilons:
+                    mesh = generate(MeshSpec(family, n_intervals, sigma, eps, c1))
+                    bvp = layer_test_problem(eps)
+                    pi_u = build_bundle(bvp.exact, mesh, k).corrected_interp
+                    gaps.append(polynomial_energy_norm(_minus(galerkin_solve(bvp, mesh, k), pi_u), eps))
+                errors.append(max(gaps))
+            rates = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+            if not min(rates) >= k - 0.1:
+                failures.append(f"{family} k={k}: rates {[round(r, 3) for r in rates]}")
+            observed.append(f"{family} k={k} {rates[-1]:.2f}")
+    _finish("criterion 8 (||u^N - Pi u|| rate >= k - 0.1)", failures,
+            f" [rates at N = 512: {', '.join(observed)}]")
+
+
+def test_criterion_9_triangle_inequality(sweep, interpolant_points):
+    """|e_energy(u^N) - e_energy(u^I)| <= ||u^N - u^I||_eps at the 408 default
+    points: the computed errors of two functions differ by no more than the
+    exact energy norm of their difference (measured: at most ~0.25 of it)."""
+    failures, worst = [], 0.0
+    for rec in sweep[0].records:
+        (tri, _), gap = interpolant_points[_record_key(rec.family, rec.k, rec.N, rec.epsilon)]
+        ratio = abs(rec.e_energy - tri.e_energy) / gap
+        worst = max(worst, ratio)
+        if not ratio <= 1.0:
+            failures.append(f"{rec.family} k={rec.k} N={rec.N} eps={rec.epsilon}: ratio {ratio:.3g}")
+    _finish("criterion 9 (triangle inequality, 408 points)", failures, f" [largest ratio {worst:.3f}]")
 
 
 def _dense_oracle(bvp, mesh, k, q):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -7,9 +9,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfem import (
     MeshAssumptionWarning,
+    MeshFamily,
     MeshSpec,
     SingularMatrixError,
     StudyConfig,
@@ -144,13 +149,13 @@ class TestSolveCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_a_broken_mesh_rule_is_reported_before_the_problem_data(self, capsys):
-        # roos at eps = 1e-160 breaks both 1 - eps < 1 and the finite-f check.
-        code = main(["solve", "--mesh-type", "roos", "--N", "8", "--epsilon", "1e-160", "--k", "1"])
+        # kopteva at eps = 1e-160 breaks both its breakpoint rule and the finite-f check.
+        code = main(["solve", "--mesh-type", "kopteva", "--N", "8", "--epsilon", "1e-160", "--k", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == ("error: roos mesh needs 1 - eps < 1 in floating point, "
-                                "got eps = 1e-160\n")
+        assert captured.err == ("error: breakpoint t = 1/2 - 2.5*1e-160 = 0.5 must lie in "
+                                "(0, 1/2 - 2^-52]\n")
 
     def test_a_mesh_warning_is_printed_before_failing_problem_data(self, capsys):
         # The mesh is built first: c1 = 2e159 exceeds 1/(eps*N) = 1.25e159, and
@@ -288,6 +293,21 @@ class TestStudyCommand:
         [line] = captured.err.splitlines()
         assert line.startswith("run failed: family=kopteva k=1 N=8") and "breakpoint" in line
         assert "ERR" in captured.out
+
+    def test_roos_runs_where_one_minus_eps_rounds_to_one(self, capsys):
+        # At eps = 1e-20 only kopteva's breakpoint 1/2 - 2.5e-20 fails; roos's
+        # column keeps the published k = 1 cells (the uniform error is the
+        # same at every eps this small).
+        code = main(["study", "--k", "1", "--N", "8", "--N", "16", "--epsilon", "1e-20"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.splitlines() == [
+            f"run failed: family=kopteva k=1 N={n} epsilon=1e-20: "
+            "breakpoint t = 1/2 - 2.5*1e-20 = 0.5 must lie in (0, 1/2 - 2^-52]"
+            for n in (8, 16)
+        ]
+        rows = [line.split() for line in captured.out.splitlines()[2:]]
+        assert rows == [["8", "ERR", "—", "0.338E+00", "1.02"], ["16", "ERR", "—", "0.167E+00", "—"]]
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_data_is_a_failed_run(self, capsys):
@@ -535,6 +555,31 @@ def test_every_command_prints_a_mesh_warning_as_one_line(command, capsys):
         warnings.simplefilter("error", MeshAssumptionWarning)
         with pytest.raises(MeshAssumptionWarning):
             main(argv)
+
+
+_STDERR_PREFIXES = ("error:", "numerical failure:", "warning:", "run failed:")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["mesh", "solve", "study", "verify"]),
+    family=st.sampled_from([f.value for f in MeshFamily]),
+    N=st.integers(2, 32).map(lambda n: 2 * n),
+    k=st.integers(1, 4),
+    log_eps=st.floats(-330.0, math.log10(0.5)),
+)
+def test_every_command_ends_in_an_exit_code_and_prefixed_lines(command, family, N, k, log_eps):
+    # eps log-uniform down past the subnormals (10^-330 is 0.0): roos's whole
+    # range, f's overflow below ~1e-154 and kopteva's breakpoint rule.
+    argv = [command, "--mesh-type", family, "--N", str(N), "--epsilon", repr(10.0**log_eps)]
+    argv = argv if command == "mesh" else [*argv, "--k", str(k)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    prefixes = _STDERR_PREFIXES + (("e_inf=",) if command == "solve" else ())
+    assert all(line.startswith(prefixes) for line in err.getvalue().splitlines())
+    assert code == 0 or out.getvalue() == ""
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve", "verify"])

@@ -151,17 +151,27 @@ class TestGenerate:
         # Above eps = 1/N the mesh is uniform and the graded map never runs.
         assert generate(MeshSpec(family=MeshFamily.ROOS, N=4, sigma=11.0, epsilon=0.3)).spec.family is MeshFamily.UNIFORM
 
-    def test_rejects_eps_below_float_resolution_of_roos_map(self):
-        with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
-            generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=1e-17))
+    @pytest.mark.parametrize("eps", [1e-17, 2.0**-54, 1e-150])
+    def test_roos_builds_where_one_minus_eps_rounds_to_one(self, eps):
+        # 1 - a/2 rounds to 0 at t = 1/2: the log's argument is floored at eps
+        # there, so x(1/2) is x_theta = -sigma*eps*ln(eps) bit for bit.
+        assert 1.0 - eps == 1.0
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=eps))
+        assert mesh.spec.family is MeshFamily.ROOS
+        assert mesh.nodes[4] == -2.0 * eps * math.log(eps)
+        assert np.all(np.isfinite(mesh.nodes)) and np.all(mesh.steps > 0.0)
 
     def test_checks_run_before_the_log_of_the_graded_map(self):
         # 1 - a*theta = 2*c1*eps underflows to 0 here: the breakpoint check
         # must name the fault before the log sees it.
         with pytest.raises(ValueError, match="breakpoint"):
             generate(MeshSpec("kopteva", 4, 1.0, 5e-324, 0.25))
-        with pytest.raises(ValueError, match="roos mesh needs 1 - eps < 1"):
-            generate(MeshSpec("roos", 4, 1.0, 5e-324))
+        # Roos has no rule on eps: at the smallest eps its mesh still builds,
+        # with x(1/2) = -eps*ln(eps) the last fine node.
+        mesh = generate(MeshSpec("roos", 4, 1.0, 5e-324))
+        assert mesh.spec.family is MeshFamily.ROOS
+        assert mesh.nodes[2] == -5e-324 * math.log(5e-324)
+        assert np.all(np.diff(mesh.nodes) > 0.0)
 
     def test_rejects_a_breakpoint_within_rounding_of_one_half(self):
         # theta = 1/2 - 29*1.5e-18 rounds to 1/2 - 2^-54, so t = 1/2 would fall
@@ -180,9 +190,13 @@ class TestGenerate:
     def test_rejects_a_subnormal_eps_whose_fine_nodes_round_together(self):
         # sigma*eps = 1e-322 keeps 5 bits: x(t) = -1e-322*ln(1 - 2t) has fewer
         # distinct values than the 32 fine nodes at N = 64.
-        with pytest.raises(ValueError, match=r"kopteva fine nodes -sigma\*eps\*ln\(1 - 2t\) "
-                                             "must be distinct in floating point"):
+        with pytest.raises(ValueError, match=r"^kopteva mesh needs fine nodes -sigma\*eps\*ln\(1 - a\*t\) "
+                                             "distinct in floating point"):
             generate(MeshSpec("kopteva", 64, 1.0, 1e-322, 1e308))
+        # Roos at the smallest eps: x(1/6) = -5e-324*ln(2/3) rounds to 0 = x(0).
+        with pytest.raises(ValueError, match=r"^roos mesh needs fine nodes -sigma\*eps\*ln\(1 - a\*t\) "
+                                             "distinct in floating point, got sigma = 1.0, eps = 5e-324$"):
+            generate(MeshSpec("roos", 6, 1.0, 5e-324))
 
     def test_every_admissible_subnormal_eps_spec_generates(self):
         # A seeded sample with eps log-uniform over the subnormals and c1*eps
@@ -215,6 +229,7 @@ class TestGenerate:
         c1=st.floats(0.01, 50.0),
     )
     @with_breakpoint_examples
+    @example(family=MeshFamily.ROOS, N=8, sigma=2.0, eps_fraction=8e-17, c1=1.0)   # 1 - eps == 1
     def test_graded_nodes_match_the_separate_maps_bit_for_bit(
         self, family, N, sigma, eps_fraction, c1
     ):
@@ -246,6 +261,7 @@ class TestGenerate:
         eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         const=st.floats(0.01, 50.0),
     )
+    @example(family=MeshFamily.ROOS, N=6, sigma=1.0, eps=5e-324, const=1.0)   # fine nodes round together
     def test_spec_is_rejected_by_name_or_nodes_increase(self, family, N, sigma, eps, const):
         try:
             spec = MeshSpec(family=family, N=N, sigma=sigma, epsilon=eps, c1=const)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -167,6 +167,7 @@ class TestConfig:
         N=st.integers(1, 32).map(lambda n: 2 * n),
         eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     )
+    @example(family="roos", sigma=1.0, c1=1.0, N=6, eps=5e-324)   # fine nodes round together
     def test_only_graded_map_conditions_are_left_to_the_points(self, family, sigma, c1, N, eps):
         try:
             StudyConfig(families=(family,), sigma=sigma, c1=c1, N_list=(N,), epsilons=(eps,))
@@ -285,9 +286,12 @@ class TestRunStudy:
         assert "ERR" in emit(result.records, "table")
 
     def test_a_broken_mesh_rule_is_recorded_before_the_problem_data(self):
-        # roos at eps = 1e-160 breaks both 1 - eps < 1 and the finite-f check.
-        [rec] = run_study(small_config(N_list=(8,), epsilons=(1e-160,))).records
-        assert rec.error == "roos mesh needs 1 - eps < 1 in floating point, got eps = 1e-160"
+        # kopteva at eps = 1e-160 breaks both its breakpoint rule and the finite-f
+        # check; roos builds its mesh there, so only the problem data fails.
+        kopteva, roos = run_study(small_config(families=("kopteva", "roos"), N_list=(8,),
+                                               epsilons=(1e-160,))).records
+        assert kopteva.error == "breakpoint t = 1/2 - 2.5*1e-160 = 0.5 must lie in (0, 1/2 - 2^-52]"
+        assert roos.error == "f(x) must be finite on [0, 1]; sampled f(0) = inf"
 
     def test_epsilon_robustness_small_slice(self):
         cfg = small_config(N_list=(64,), epsilons=(1e-4, 1e-6, 1e-9))
@@ -356,6 +360,23 @@ class TestSolvePoint:
         assert fem.coefficients.tobytes() == ref.coefficients.tobytes()
         hexes = lambda t: [t.e_inf.hex(), t.e_l2.hex(), t.e_energy.hex()]
         assert hexes(tri) == hexes(ref_tri)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 4), N=st.integers(4, 128).map(lambda n: 2 * n),
+           log_eps=st.floats(-150.0, -9.0))
+    def test_roos_error_is_uniform_in_eps_down_to_1e_150(self, k, N, log_eps):
+        # Over 400 random points the scaled error e_energy*(N/sigma)^k read at
+        # most 1.352 / 0.7305 / 0.2550 / 0.0656 for k = 1..4, and e_energy
+        # stayed within 1.4e-4 relative of eps = 1e-9's: the bounds leave ~10%
+        # and 7x.  Below eps = 2^-54, 1 - eps rounds to 1 in roos's map.
+        sigma, _ = defaults_for(k)
+
+        def energy(eps):
+            return solve_point("layer-test", generate(MeshSpec("roos", N, sigma, eps)), k)[1].e_energy
+
+        e_energy = energy(10.0**log_eps)
+        assert e_energy * (N / sigma) ** k <= (1.5, 0.8, 0.28, 0.072)[k - 1]
+        assert abs(e_energy / energy(1e-9) - 1.0) <= 1e-3
 
     def test_record_carries_the_point_errors(self):
         config = small_config(N_list=(16,), epsilons=(1e-8,))
