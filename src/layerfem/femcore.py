@@ -369,16 +369,16 @@ class _Condensation:
         self._a_vi = matrices[:, ::k, 1:k]   # rows 0 and k
         if k == 2 and not self._a_ii.all():   # the exact zero pivot LAPACK's dgetrf flags
             raise SingularMatrixError(element=int((self._a_ii == 0.0).argmax()))
-        # Interior values per unit vertex value: u_inner = y - w @ (v_left, v_right).
-        self._w = self._interior_solve(matrices[:, 1:k, ::k])
-        schur = matrices[:, ::k, ::k] - self._a_vi @ self._w
+        schur = matrices   # k = 1 has no interior unknowns, whose products would subtract +0.0
+        if k > 1:
+            # Interior values per unit vertex value: u_inner = y - w @ (v_left, v_right).
+            self._w = self._interior_solve(matrices[:, 1:k, ::k])
+            schur = matrices[:, ::k, ::k] - self._a_vi @ self._w
         self._lu = TridiagonalLU(
             schur[1:-1, 1, 0], schur[:-1, 1, 1] + schur[1:, 0, 0], schur[1:-1, 0, 1]
         )
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._k == 1:   # no interior unknowns
-            return rhs
         if self._k == 2:   # 1x1 blocks, nonzero (checked above), with the bits of OpenBLAS's dgesv
             # trsm multiplies several right-hand sides by the reciprocal pivot, trsv divides one.
             if rhs.shape[2] == 1:
@@ -396,9 +396,12 @@ class _Condensation:
 
     def solve(self, loads: np.ndarray) -> np.ndarray:
         k, n_elem = self._k, loads.shape[0]
+        out = np.zeros(k * n_elem + 1)
+        if k == 1:   # vertex values only
+            out[1:-1] = self._lu.solve(loads[:-1, 1] + loads[1:, 0])
+            return out
         y = self._interior_solve(loads[:, 1:k, None])
         g = loads[:, ::k] - (self._a_vi @ y)[:, :, 0]
-        out = np.zeros(k * n_elem + 1)
         v = out[::k]
         v[1:-1] = self._lu.solve(g[:-1, 1] + g[1:, 0])
         ends = _overlapping(out, (n_elem, 2), v.strides * 2)   # (v_e, v_e+1)
@@ -418,9 +421,9 @@ def solve(system: ElementSystem) -> np.ndarray:
     follows: when epsilon << h the interior blocks have diagonals of size
     O(h), and recovering the interior values can magnify the error of the
     vertex values by up to ~N.  Each condensed solve fills one array of
-    k*N + 1 coefficients through strided views.  The interior blocks take
-    no LAPACK call for k = 1; for k = 2 they are 1x1, and each of w, y and y
-    of the residual is one division per block, with the bits dgesv gives;
+    k*N + 1 coefficients through strided views.  k = 1 has no interior
+    blocks and takes no product with them; for k = 2 they are 1x1, and each
+    of w, y and y of the residual is one division per block, with the bits dgesv gives;
     k >= 3 take three batched dgesv calls (w, y, y of the residual).  Solving
     y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 

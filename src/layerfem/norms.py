@@ -8,14 +8,14 @@ Errors near round-off are differences of much larger values, so 1e-10
 relative alone is out of reach there; with the round-off floor the cap is
 reached only where the integral still changes above noise.  The max norm is
 the largest error among the values already computed: those at the quadrature
-points of every level and at the element nodes.  Each level evaluates u and u'
-in one call per chunk of at most _CHUNK_POINTS points, so a problem can share
-work such as an exponential between them.  The levels work in views of one
-buffer allocated per call, and the exact's temporaries stay chunk-sized: level
-arrays allocated and freed afresh let the C heap return their pages to the OS
-after each level, and the next level faulted every page in again.  A level's
-results form one (2, 2, n) array, [integral, round-off bound] x [value, slope]
-per element, so one test settles both and one product scales all four by h.
+points of every level and at the element nodes.  The node pass and each level
+evaluate u and u' in one call, whose writer fills views of one buffer allocated
+per call and takes x as its scratch: a problem can share work such as an
+exponential between u and u' and allocates no arrays.  Level arrays allocated
+and freed afresh let the C heap return their pages to the OS after each level,
+and the next level faulted every page in again.  A level's results form one
+(2, 2, n) array, [integral, round-off bound] x [value, slope] per element, so
+one test settles both and one product scales all four by h.
 Its `@ w` products run over exactly the rows of its elements: OpenBLAS's gemv
 blocks by rows, so another grouping of the same rows can move a sum by an ulp.
 A level's points x_i + t_j*h_i are one product of its elements' rows
@@ -54,7 +54,6 @@ __all__ = ["ErrorTriple", "error_norms", "polynomial_energy_norm"]
 _REL_TOL = 1e-10
 _START_PANELS = 4
 _MAX_PANELS = 64
-_CHUNK_POINTS = 8192  # per exact call: 64 KiB per array of its temporaries
 _MIN_FAR = 40  # far elements that save more level time than their exact norms cost
 # Bound on the absolute error of a computed difference, per unit of the size
 # of the values it subtracts.
@@ -164,12 +163,13 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
                 far_field: tuple[float, Callable] | None = None) -> ErrorTriple:
     """Norms of exact - fem over the fem's mesh.
 
-    ``exact(x)`` returns (u(x), u'(x)) for a numpy array x, a scalar standing for a
-    constant; it runs once at the global nodes and once per level and chunk, on the
-    nodes and elements short of the reach of ``far_field`` (:attr:`.ExactSolution.far_field`),
-    and what it returns is only read.  The round-off bounds take its values as accurate
-    to a few ulps of their own size: only then does a polynomial that ``fem``
-    reproduces exactly settle at the first comparison.
+    ``exact(x)`` returns ``write(u, du)``, which fills the float arrays u and du of x's
+    shape with u(x) and u'(x) (:attr:`.ExactSolution.u_and_prime`).  It runs once at the
+    global nodes and once per level, on the nodes and elements short of the reach of
+    ``far_field`` (:attr:`.ExactSolution.far_field`); x, u and du are writable views of
+    this call's own buffer that do not overlap, so ``write`` may overwrite x.  The
+    round-off bounds take its values as accurate to a few ulps of their own size: only
+    then does a polynomial that ``fem`` reproduces exactly settle at the first comparison.
     """
     mesh, degree = fem.mesh, fem.degree
     h, h_left, coeff = mesh.steps, _element_rows(mesh), fem.element_coefficients()
@@ -181,10 +181,13 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
 
     far = (_far_norms(h_left[m:], nodes[near:], values[near:], far_field[1]) if m < mesh.N
            else (0.0, -math.inf, 0.0, 0.0))
-    # Largest |exact - fem| at the global nodes (u = poly past reach), then at each level's points.
-    peaks = [np.abs(exact(nodes[:near])[0] - values[:near]).max(), far[0]]
     # Room for five arrays of the 8-panel level over the near elements.
     work = np.empty(5 * m * (degree + 3) * 2 * _START_PANELS)
+    # Largest |exact - fem| at the global nodes (u = poly past reach), then at each level's points.
+    x, u, du = work[: 3 * near].reshape(3, near)
+    x[:] = nodes[:near]
+    exact(x)(u, du)
+    peaks = [np.abs(u - values[:near]).max(), far[0]]
 
     def level(elems, panels):
         # The (2, 2, n) results on ``elems``: an index array, or slice(m)
@@ -198,10 +201,7 @@ def error_norms(fem: PiecewisePolynomial, exact: Callable, epsilon: float,
         # x becomes the integrals' scratch once u and u' are in.
         x, u, du, fem_v, abs_v = work[: 5 * size].reshape(5, he.size, npts)
         _element_points(h_left[elems], table, out=x)
-        rows = max(1, _CHUNK_POINTS // npts)
-        for start in range(0, he.size, rows):
-            chunk = slice(start, start + rows)
-            u[chunk], du[chunk] = exact(x[chunk])
+        exact(x)(u, du)
         c, abs_c = coeff[elems], abs_coeff[elems]
         sq = np.empty((2, 2, he.size))
         np.matmul(c, shape, out=fem_v)

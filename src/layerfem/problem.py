@@ -7,9 +7,10 @@ The problem class is
 with b >= beta > 1 and c + b'/2 >= gamma > 0, so the solution develops a
 boundary layer of width O(epsilon*log(1/epsilon)) at x = 0 and splits into a
 smooth part plus a layer part, u = S + E.  Coefficient callables must accept
-numpy arrays and be pure.  An exact solution gives (u, u') from one call, of
-which u is the first entry, the split u = S + E used by the interpolants, and
-optionally its far field, where u is a polynomial of degree <= 1.
+numpy arrays and be pure.  An exact solution gives, from one call at x, a
+writer that fills the caller's arrays with u(x) and u'(x), using x as scratch;
+the split u = S + E used by the interpolants; and optionally its far field,
+where u is a polynomial of degree <= 1.
 """
 
 from __future__ import annotations
@@ -36,17 +37,22 @@ _TOL = 1e-12        # validate's bound on |u| at the ends and on u - (S + E)
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact solution: (u, u') from one call, the split u = S + E (smooth + layer) and
-    optionally the far field (reach, p): u = p, of degree <= 1, in floating point past reach."""
+    """Exact solution: ``u_and_prime(x)`` returns ``write(u, du)``, which fills the float
+    arrays u and du of x's shape with u(x) and u'(x) and may overwrite x; the split
+    u = S + E (smooth + layer); and optionally the far field (reach, p): u = p, of
+    degree <= 1, in floating point past reach."""
 
-    u_and_prime: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    u_and_prime: Callable[[np.ndarray], Callable[[np.ndarray, np.ndarray], None]]
     S: ScalarFn
     E: ScalarFn
     far_field: tuple[float, ScalarFn] | None = None
 
     def u(self, x: np.ndarray) -> np.ndarray:
-        """u at ``x``: the first entry of ``u_and_prime(x)``, its one source."""
-        return self.u_and_prime(x)[0]
+        """u at ``x``: ``u_and_prime``'s writer on a copy of x, its one source."""
+        x = np.array(x, dtype=float)
+        u, du = np.empty_like(x), np.empty_like(x)
+        self.u_and_prime(x)(u, du)
+        return u
 
     def validate(self) -> None:
         """Check u(0) = u(1) = 0, u = S + E and u = p past reach on a uniform grid."""
@@ -121,7 +127,8 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         u'  = -1 + E0*(1 + 2(1-x)/eps)
         u'' = -(2/eps)*E0*(2 + 2(1-x)/eps)
 
-    and f = -eps*u'' - (3-x)*u' + u; u_and_prime and f evaluate E0 once per call.
+    and f = -eps*u'' - (3-x)*u' + u; u_and_prime's writer and f evaluate E0 once
+    per call, in place in layer_terms.
     -2x/eps is floored at a_min = log(2^-56 * eps/(1+eps)), so exp never
     underflows.  The floor changes no bit on [0, 1], and (u, u') is exactly
     (1 - x, -1) at x >= reach = -eps*a_min/2, as every E0 the floor or the far
@@ -139,21 +146,22 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
     a_min = math.log(2.0**-56 * eps / (1.0 + eps))
     reach = -eps * a_min / 2.0
 
-    def layer_terms(x):
-        # E0, u and u' in place, each operation in the order of the formulas.
-        e0 = np.asarray(np.divide(x, -half_eps))
+    def layer_terms(x, u, du, e0):
+        # E0 into e0, which may be du, then u and u' with x as scratch, each
+        # operation in the order of the formulas.
+        np.divide(x, -half_eps, out=e0)
         np.maximum(e0, a_min, out=e0)   # bit-identical on [0, 1]: (a)-(c) in the docstring
         np.exp(e0, out=e0)
-        s = 1.0 - x
-        u_x = (1.0 - e0) * s
-        s /= half_eps
-        s += 1.0
-        s *= e0
-        s -= 1.0
-        return e0, u_x, s
+        np.subtract(1.0, e0, out=u)
+        np.subtract(1.0, x, out=x)
+        u *= x
+        x /= half_eps
+        x += 1.0
+        x *= e0
+        np.subtract(x, 1.0, out=du)
 
     def u_and_prime(x):
-        return layer_terms(np.asarray(x))[1:]
+        return lambda u, du: layer_terms(x, u, du, du)
 
     def smooth(x):
         return 1.0 - x
@@ -171,7 +179,9 @@ def layer_test_problem(epsilon: float) -> TwoPointBVP:
         return np.ones_like(np.asarray(x, dtype=float))
 
     def f(x):
-        e0, u_x, du_x = layer_terms(x)
+        scratch = np.array(x, dtype=float)
+        e0, u_x, du_x = np.empty_like(scratch), np.empty_like(scratch), np.empty_like(scratch)
+        layer_terms(scratch, u_x, du_x, e0)
         return -eps * (-(2.0 / eps) * e0 * (2.0 + 2.0 * (1.0 - x) / eps)) - b(x) * du_x + u_x
 
     exact = ExactSolution(u_and_prime=u_and_prime, S=smooth, E=layer, far_field=(reach, smooth))

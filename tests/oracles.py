@@ -1,4 +1,5 @@
-"""Reference code that only the tests read: the assembled system as a dense
+"""Reference code that only the tests read: an exact-solution writer made of
+two callables and the values a writer gives, the assembled system as a dense
 matrix and right-hand side, the first derivative of a piecewise polynomial,
 the energy norm of a piecewise polynomial by a scan of the whole mesh, the
 two graded maps as written before they shared one generating function, the
@@ -12,6 +13,29 @@ import numpy as np
 
 from layerfem import ElementSystem, PiecewisePolynomial, gauss_legendre, shape_tables
 from layerfem.femcore import _element_tables
+
+
+def writer(f, df):
+    """The exact-solution callable that error_norms and ExactSolution take, made of
+    two callables: at x it returns write(u, du), which fills u with f(x) and du with df(x)."""
+
+    def exact(x):
+        def write(u, du):
+            u[...] = f(x)
+            du[...] = df(x)
+
+        return write
+
+    return exact
+
+
+def exact_values(u_and_prime, x):
+    """(u(x), u'(x)) as fresh float arrays of x's shape, from the writer of
+    ``u_and_prime`` run on a copy of x."""
+    x = np.array(x, dtype=float)
+    u, du = np.empty_like(x), np.empty_like(x)
+    u_and_prime(x)(u, du)
+    return u, du
 
 
 def dense_matrix(system: ElementSystem) -> np.ndarray:

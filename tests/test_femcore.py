@@ -33,7 +33,7 @@ from layerfem import (
 )
 from layerfem import femcore
 from layerfem.femcore import TridiagonalLU
-from oracles import dense_matrix, dense_rhs, derivative
+from oracles import dense_matrix, dense_rhs, derivative, writer
 
 ALL_FAMILIES = [MeshFamily.ROOS, MeshFamily.KOPTEVA, MeshFamily.UNIFORM]
 
@@ -716,7 +716,7 @@ class TestGalerkinSolve:
             bvp, p, dp = manufactured_poly_problem(eps, k)
         mesh = generate(MeshSpec(family=family, N=16, sigma=2.0, epsilon=eps, c1=0.5))
         fem = galerkin_solve(bvp, mesh, k)
-        tri = error_norms(fem, lambda x: (p(x), dp(x)), eps)
+        tri = error_norms(fem, writer(p, dp), eps)
         assert tri.e_energy < 1e-10
 
     def test_energy_error_matches_published_value(self):
@@ -780,7 +780,7 @@ class TestGalerkinSolve:
         _, gamma = bvp.sampled_bounds()
         alpha = min(1.0, gamma)
         rng = np.random.default_rng(7)
-        zero = lambda x: (np.zeros_like(x), np.zeros_like(x))
+        zero = writer(np.zeros_like, np.zeros_like)
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, dense.shape[0])
             coeff = np.zeros(k * mesh.N + 1)

@@ -13,7 +13,7 @@ from layerfem import (
     lagrange_interp,
     layer_test_problem,
 )
-from oracles import fitted_rate
+from oracles import fitted_rate, writer
 
 
 def layer_mesh(N=16, sigma=2.0, eps=1e-6, family=MeshFamily.ROOS):
@@ -43,7 +43,7 @@ class TestLagrangeInterp:
             interp = lagrange_interp(lambda x: np.sin(np.pi * x), mesh, 1)
             tri = error_norms(
                 interp,
-                lambda x: (np.sin(np.pi * x), np.pi * np.cos(np.pi * x)),
+                writer(lambda x: np.sin(np.pi * x), lambda x: np.pi * np.cos(np.pi * x)),
                 epsilon=0.5,
             )
             errors.append(tri.e_inf)
@@ -144,7 +144,7 @@ class TestBundle:
     def test_zero_layer_part_gives_zero_correction(self):
         arr = lambda x: np.asarray(x, dtype=float)
         exact = ExactSolution(
-            u_and_prime=lambda x: (arr(x) * (1.0 - arr(x)), 1.0 - 2.0 * arr(x)),
+            u_and_prime=writer(lambda x: arr(x) * (1.0 - arr(x)), lambda x: 1.0 - 2.0 * arr(x)),
             S=lambda x: arr(x) * (1.0 - arr(x)),
             E=lambda x: np.zeros_like(arr(x)),
         )
@@ -161,7 +161,7 @@ class TestBundle:
         # With E(x) = x the correction holds the k correction nodes themselves.
         arr = lambda x: np.asarray(x, dtype=float)
         exact = ExactSolution(
-            u_and_prime=lambda x: (arr(x), np.ones_like(arr(x))),
+            u_and_prime=writer(arr, lambda x: np.ones_like(arr(x))),
             S=lambda x: np.zeros_like(arr(x)),
             E=arr,
         )
@@ -185,7 +185,7 @@ class TestMeasuredRates:
         k, eps = 2, 1e-7
         sigma = k + 1.0
         bvp = layer_test_problem(eps)
-        zero = lambda x: (np.zeros_like(x), np.zeros_like(x))
+        zero = writer(np.zeros_like, np.zeros_like)
         errors = []
         for n_intervals in (64, 128, 256, 512):
             mesh = layer_mesh(N=n_intervals, sigma=sigma, eps=eps)

@@ -26,7 +26,6 @@ from layerfem import (
 from layerfem.femcore import _element_points, _element_rows, global_nodes
 from layerfem.mesh import Mesh1D
 from layerfem.norms import (
-    _CHUNK_POINTS,
     _MAX_PANELS,
     _MIN_FAR,
     _REL_TOL,
@@ -36,12 +35,14 @@ from layerfem.norms import (
     _level_table,
     _polynomial_tables,
 )
-from oracles import derivative, exact_far_integrals, exact_reference_tables, whole_mesh_energy_norm
-
-
-def pair(f, df):
-    """The joint (u, u') callable that error_norms takes, from two callables."""
-    return lambda x: (f(x), df(x))
+from oracles import (
+    derivative,
+    exact_far_integrals,
+    exact_reference_tables,
+    exact_values,
+    whole_mesh_energy_norm,
+    writer,
+)
 
 
 def uniform_mesh(N=4):
@@ -56,7 +57,7 @@ class TestErrorNorms:
         p = lambda x: np.asarray(x, dtype=float) ** 2 - np.asarray(x, dtype=float)
         dp = lambda x: 2.0 * np.asarray(x, dtype=float) - 1.0
         interp = lagrange_interp(p, mesh, 2)
-        tri = error_norms(interp, pair(p, dp), epsilon=0.3)
+        tri = error_norms(interp, writer(p, dp), epsilon=0.3)
         assert tri.e_inf < 1e-11
         assert tri.e_l2 < 1e-11
         assert tri.e_energy < 1e-11
@@ -68,7 +69,7 @@ class TestErrorNorms:
         dv = lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float)
         mesh = uniform_mesh(4)
         zero = PiecewisePolynomial(mesh=mesh, degree=2, coefficients=np.zeros(2 * mesh.N + 1))
-        tri = error_norms(zero, pair(v, dv), epsilon=1.0)
+        tri = error_norms(zero, writer(v, dv), epsilon=1.0)
         assert tri.e_energy == pytest.approx(math.sqrt(1.0 / 30.0 + 1.0 / 3.0), rel=1e-12)
         assert tri.e_l2 == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-12)
 
@@ -83,7 +84,7 @@ class TestErrorNorms:
         assert tri.e_energy == pytest.approx(0.0834, rel=0.02)
 
     def test_distance_between_two_piecewise_polynomials(self):
-        # The exact pair can be another discrete function's
+        # The exact writer can be made of another discrete function's
         # evaluators; distance to itself is zero and to a finer interpolant
         # is the interpolation gap.
         mesh = uniform_mesh(8)
@@ -91,10 +92,11 @@ class TestErrorNorms:
         df = lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float))
         coarse = lagrange_interp(f, mesh, 1)
         fine = lagrange_interp(f, mesh, 3)
-        self_tri = error_norms(coarse, pair(coarse.evaluate, lambda x: derivative(coarse, x)), 0.1)
+        own = writer(coarse.evaluate, lambda x: derivative(coarse, x))
+        self_tri = error_norms(coarse, own, 0.1)
         assert self_tri.e_energy < 1e-14
-        gap = error_norms(coarse, pair(fine.evaluate, lambda x: derivative(fine, x)), 0.1)
-        direct = error_norms(coarse, pair(f, df), 0.1)
+        gap = error_norms(coarse, writer(fine.evaluate, lambda x: derivative(fine, x)), 0.1)
+        direct = error_norms(coarse, writer(f, df), 0.1)
         assert gap.e_energy == pytest.approx(direct.e_energy, rel=1e-3)
 
     def test_triple_orderings(self):
@@ -136,7 +138,7 @@ class TestErrorNorms:
         for e in range(mesh.N):
             x = mesh.nodes[e] + mesh.steps[e] * xi
             dv = bvp.exact.u(x) - fem.evaluate(x)
-            dd = bvp.exact.u_and_prime(x)[1] - derivative(fem, x)
+            dd = exact_values(bvp.exact.u_and_prime, x)[1] - derivative(fem, x)
             val2 += mesh.steps[e] * float(np.sum(w * dv * dv))
             der2 += mesh.steps[e] * float(np.sum(w * dd * dd))
         oracle = math.sqrt(eps * der2 + val2)
@@ -152,7 +154,7 @@ class TestErrorNorms:
         u = lambda x: np.sin(omega * np.asarray(x, dtype=float))
         du = lambda x: omega * np.cos(omega * np.asarray(x, dtype=float))
         fem = lagrange_interp(u, mesh, k)
-        exact, rows = counting(pair(u, du))
+        exact, rows = counting(writer(u, du))
         tri = error_norms(fem, exact, 1e-3)
         assert rows[(k + 3) * 16] == rows[(k + 3) * _MAX_PANELS] == mesh.N
 
@@ -191,66 +193,83 @@ def _galerkin_case(k=2, n=32, eps=1e-6):
 
 def _large_case(kind):
     # roos, k = 2, N = 2048, eps = 1e-8: the 8-panel level has 81,920 points,
-    # evaluated in 11 chunks.
+    # evaluated in one call.
     fem, exact, eps = _galerkin_case(k=2, n=2048, eps=1e-8)
     if kind == "interpolant":
         fem = lagrange_interp(exact.u, fem.mesh, 2)
     return fem, exact, eps
 
 
-class TestExactValuesAreOnlyRead:
-    # error_norms works in place on its own arrays; what the exact callable
-    # returns may be read-only arrays or arrays the caller keeps.  At N = 2048
-    # every level is evaluated in several chunks.
-    @pytest.mark.parametrize("n", [32, 2048])
-    def test_read_only_arrays(self, n):
-        fem, exact, eps = _galerkin_case(n=n)
+def _constant_writer(x):
+    """The exact u = 0.25, u' = 0 as a writer that fills with Python floats."""
 
-        def read_only(x):
-            values = exact.u_and_prime(x)
-            for out in values:
-                out.setflags(write=False)
-            return values
+    def write(u, du):
+        u[...] = 0.25
+        du[...] = 0.0
+
+    return write
+
+
+class TestTheWriterContract:
+    # error_norms hands each writer writable, pairwise non-overlapping float
+    # arrays of x's shape, views of its own buffer, and owns x: a writer may
+    # overwrite it.  At N = 2048 the levels hold up to 81,920 points.
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_writable_non_overlapping_arrays_of_the_shape_of_x(self, n):
+        fem, exact, eps = _galerkin_case(n=n)
+        calls = []
+
+        def checked(x):
+            def write(u, du):
+                calls.append(x.shape)
+                for a in (x, u, du):
+                    assert a.shape == x.shape and a.dtype == np.float64 and a.flags.writeable
+                for a, b in ((x, u), (x, du), (u, du)):
+                    assert not np.shares_memory(a, b)
+                for a in (x, u, du):
+                    assert not np.shares_memory(a, fem.mesh.nodes)
+                    assert not np.shares_memory(a, fem.coefficients)
+                exact.u_and_prime(x)(u, du)
+
+            return write
+
+        assert error_norms(fem, checked, eps) == error_norms(fem, exact.u_and_prime, eps)
+        assert len(calls) >= 3 and calls[0] == (2 * n + 1,)
+
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_the_norms_own_x(self, n):
+        # A writer that leaves NaN in x after its values changes no norm, no
+        # node of the mesh and no coefficient of fem.
+        fem, exact, eps = _galerkin_case(n=n)
+        nodes, coeff = fem.mesh.nodes.copy(), fem.coefficients.copy()
+
+        def scribbling(x):
+            def write(u, du):
+                exact.u_and_prime(x)(u, du)
+                x[...] = np.nan
+
+            return write
 
         fresh = error_norms(fem, exact.u_and_prime, eps)
-        assert error_norms(fem, read_only, eps) == fresh
+        assert error_norms(fem, scribbling, eps) == fresh
+        np.testing.assert_array_equal(fem.mesh.nodes, nodes)
+        np.testing.assert_array_equal(fem.coefficients, coeff)
 
-    @pytest.mark.parametrize("n", [32, 2048])
-    def test_cached_arrays_are_left_unchanged(self, n):
-        # The callable hands back the same arrays for the same points, so a
-        # write into them would show in the second call and in the cache.
-        fem, exact, eps = _galerkin_case(n=n)
-        cache = {}
-
-        def cached(x):
-            key = (x.shape, x.tobytes())
-            if key not in cache:
-                cache[key] = (x.copy(), exact.u_and_prime(x))
-            return cache[key][1]
-
-        fresh = error_norms(fem, exact.u_and_prime, eps)
-        assert error_norms(fem, cached, eps) == fresh
-        assert error_norms(fem, cached, eps) == fresh
-        assert len(cache) > 2
-        for x, values in cache.values():
-            for kept, recomputed in zip(values, exact.u_and_prime(x)):
-                np.testing.assert_array_equal(kept, recomputed)
-
-    def test_python_float_constants(self):
+    def test_a_writer_of_constants_matches_one_of_whole_arrays(self):
         fem, _, eps = _galerkin_case()
-        fresh = error_norms(fem, lambda x: (np.full_like(x, 0.25), np.zeros_like(x)), eps)
-        assert error_norms(fem, lambda x: (0.25, 0.0), eps) == fresh
+        whole = writer(lambda x: np.full_like(x, 0.25), np.zeros_like)
+        assert error_norms(fem, _constant_writer, eps) == error_norms(fem, whole, eps)
 
 
 def _oracle_norms(fem, exact, epsilon):
     """The level loop of error_norms written plainly: separate value and slope
-    passes on fancy-indexed copies, one exact call per level, |.| of the
+    passes on fancy-indexed copies, one exact call per level on fresh arrays, |.| of the
     integrals in the settle test.  Every `@ w` runs over the rows of the same
     elements in the same order as in error_norms, so the two agree bit for bit.
     """
     mesh, k = fem.mesh, fem.degree
     h, left, coeff = mesh.steps, mesh.nodes[:-1], fem.element_coefficients()
-    peaks = [np.max(np.abs(exact(global_nodes(mesh, k))[0] - fem.coefficients))]
+    peaks = [np.max(np.abs(exact_values(exact, global_nodes(mesh, k))[0] - fem.coefficients))]
 
     def integrals(u, fem_values, abs_values, w, he):
         diff = u - fem_values
@@ -263,7 +282,7 @@ def _oracle_norms(fem, exact, epsilon):
         pts = table[0]
         he, c = h[elems], coeff[elems]
         x = he[:, None] * pts + left[elems, None]
-        u, du = (np.broadcast_to(v, x.shape) for v in exact(x))
+        u, du = exact_values(exact, x)
         val2, val_noise, peak = integrals(u, c @ shape, np.abs(c) @ abs_shape, w, he)
         peaks.append(peak)
         slope_fem = (c @ slope) / he[:, None]
@@ -291,7 +310,7 @@ def _oracle_norms(fem, exact, epsilon):
 
 
 # Both families and every degree, plus roos, k = 2 at N = 64, eps = 1e-6
-# (all five levels run) and at N = 2048 (every level is evaluated in chunks).
+# (all five levels run) and at N = 2048 (levels of up to 81,920 points).
 _ORACLE_CASES = [
     (family, k, n, eps)
     for family in ("roos", "kopteva")
@@ -311,27 +330,26 @@ def test_error_norms_match_the_plain_level_loop_bit_for_bit(family, k, n, eps, k
 
 
 def test_error_norms_match_the_plain_level_loop_for_constants_and_deep_levels():
-    # A constant given as Python floats; and a sine that refines every
+    # A constant written as Python floats; and a sine that refines every
     # element to the cap, so the level buffer grows.
     fem, _, eps = _galerkin_case()
-    constant = lambda x: (0.25, 0.0)
+    constant = _constant_writer
     tri = error_norms(fem, constant, eps)
     assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, constant, eps)
     omega = 400.0 * math.pi
     u = lambda x: np.sin(omega * np.asarray(x, dtype=float))
     du = lambda x: omega * np.cos(omega * np.asarray(x, dtype=float))
     fem = lagrange_interp(u, uniform_mesh(16), 2)
-    tri = error_norms(fem, pair(u, du), 1e-3)
-    assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, pair(u, du), 1e-3)
+    tri = error_norms(fem, writer(u, du), 1e-3)
+    assert (tri.e_inf, tri.e_l2, tri.e_energy) == _oracle_norms(fem, writer(u, du), 1e-3)
 
 
 def test_one_exact_call_per_level():
     # At roos, k = 2, N = 64, eps = 1e-6 some elements refine to the 64-panel
     # cap, so all five levels run.  u and u' are evaluated in one call per
-    # level per chunk (every level here fits in one chunk), and one more call
-    # covers the global nodes.  The summed point count is the norms.evals
-    # count of perfbench's trace, 4529 for this case since the count was
-    # introduced.
+    # level, and one more call covers the global nodes.  The summed point
+    # count is the norms.evals count of perfbench's trace, 4529 for this case
+    # since the count was introduced.
     fem, exact, eps = _galerkin_case(k=2, n=64, eps=1e-6)
     shapes = []
 
@@ -345,22 +363,21 @@ def test_one_exact_call_per_level():
     assert sum(math.prod(shape) for shape in shapes) == 4529
 
 
-def test_exact_calls_see_at_most_a_chunk():
+def test_one_exact_call_per_level_at_n_2048():
     # All elements settle at the first comparison, so the global nodes and
-    # two levels are evaluated, the levels in several chunks.  The summed
-    # point count is the norms.evals count of perfbench's trace for this
-    # case, 126977 as it was before the levels were chunked.
+    # two levels are evaluated, each in one call, the 8-panel level on 81,920
+    # points.  The summed point count is the norms.evals count of perfbench's
+    # trace for this case, 126977 since the count was introduced.
     fem, exact, eps = _large_case("galerkin")
-    sizes = []
+    shapes = []
 
     def counted(x):
-        sizes.append(np.size(x))
+        shapes.append(np.shape(x))
         return exact.u_and_prime(x)
 
     error_norms(fem, counted, eps)
-    assert max(sizes) <= _CHUNK_POINTS
-    assert len(sizes) > 3
-    assert sum(sizes) == 126977
+    assert shapes == [(2 * 2048 + 1,), (2048, (2 + 3) * 4), (2048, (2 + 3) * 8)]
+    assert sum(math.prod(shape) for shape in shapes) == 126977
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "interpolant"])
@@ -609,13 +626,13 @@ class TestPolynomialEnergyNorm:
     def test_layer_correction_matches_adaptive_quadrature(self, family, k, n, eps):
         bvp = layer_test_problem(eps)
         correction = build_bundle(bvp.exact, graded_mesh(family, k, n, eps), k).correction
-        oracle = error_norms(correction, pair(_zero, _zero), eps).e_energy
+        oracle = error_norms(correction, writer(_zero, _zero), eps).e_energy
         assert polynomial_energy_norm(correction, eps) == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_element_matches_adaptive_quadrature(self, k):
         fem = lagrange_interp(lambda x: np.sin(3.0 * x), graded_mesh("kopteva", k, 32, 1e-6), k)
-        oracle = error_norms(fem, pair(_zero, _zero), 1e-6).e_energy
+        oracle = error_norms(fem, writer(_zero, _zero), 1e-6).e_energy
         assert polynomial_energy_norm(fem, 1e-6) == pytest.approx(oracle, rel=1e-12)
 
     def test_zero_function(self):
@@ -749,7 +766,7 @@ class TestQuadratureTermination:
 
         sigma, c1 = defaults_for(k)
         mesh = generate(MeshSpec(family=family, N=n, sigma=sigma, epsilon=eps, c1=c1))
-        exact, rows = counting(pair(p, dp))
+        exact, rows = counting(writer(p, dp))
         error_norms(lagrange_interp(p, mesh, k), exact, 1.0)
         assert rows[(k + 3) * 4 * _START_PANELS] == 0
 
@@ -768,7 +785,7 @@ class TestQuadratureTermination:
         def exact(x):
             if np.ndim(x) == 2:
                 firsts.setdefault(x.shape[1] // (k + 3), []).extend(x[:, 0])
-            return p(x), dp(x)
+            return writer(p, dp)(x)
 
         tri = error_norms(lagrange_interp(p, mesh, k), exact, 1.0)
         elements = np.searchsorted(mesh.nodes, firsts.get(4 * _START_PANELS, [])) - 1

@@ -14,6 +14,7 @@ from layerfem import (
     get_problem,
     layer_test_problem,
 )
+from oracles import exact_values, writer
 
 EPSILONS = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
 
@@ -82,7 +83,7 @@ class TestLayerTestProblem:
         ddu_fd = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (
             12 * step**2
         )
-        assert float(bvp.exact.u_and_prime(np.array(x))[1]) == pytest.approx(du_fd, rel=1e-6)
+        assert float(exact_values(bvp.exact.u_and_prime, x)[1]) == pytest.approx(du_fd, rel=1e-6)
         f_fd = -eps * ddu_fd - (3.0 - x) * du_fd + vals[2]
         assert float(bvp.f(np.array(x))) == pytest.approx(f_fd, rel=1e-6)
 
@@ -116,7 +117,7 @@ class TestLayerTestProblem:
         # grid covers [0, 376 eps] in steps of eps/10 as well as [0, 1].
         x = np.concatenate([np.linspace(0.0, 1.0, 1001), eps * np.linspace(0.0, 376.0, 3761)])
         assert np.any((np.exp(-2.0 * x / eps) > 0.0) & (np.exp(-2.0 * x / eps) < 2.0**-1022))
-        u, du = layer_test_problem(eps).exact.u_and_prime(x)
+        u, du = exact_values(layer_test_problem(eps).exact.u_and_prime, x)
         u_ref, du_ref, _ = closed_forms(x, eps)
         np.testing.assert_array_equal(u, u_ref)
         np.testing.assert_array_equal(du, du_ref)
@@ -135,11 +136,33 @@ class TestLayerTestProblem:
         # (u, u') is (1 - x, -1), whatever the order of the points around it.
         eps, x = eps_and_x
         bvp = layer_test_problem(eps)
-        got = (*bvp.exact.u_and_prime(x), bvp.f(x))
+        got = (*exact_values(bvp.exact.u_and_prime, x), bvp.f(x))
         for value, ref in zip(got, closed_forms(x, eps)):
             assert np.shape(value) == np.shape(ref) == x.shape
             assert np.asarray(value).dtype == np.asarray(ref).dtype == np.float64
             np.testing.assert_array_equal(value, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps_and_points(), st.sampled_from(["array", "2-d", "list"]))
+    def test_u_leaves_its_argument_unchanged_and_is_the_writers_u(self, eps_and_x, form):
+        # The writer takes x as scratch (layer_terms leaves ((1 - x)/(eps/2) + 1)*E0
+        # there), so u must hand it a copy: the argument keeps its bits, and
+        # u's value is the writer's u bit for bit, in the argument's shape.
+        eps, x = eps_and_x
+        exact = layer_test_problem(eps).exact
+        arg = {"array": x, "2-d": np.stack([x, x[::-1]]) if x.ndim else x[None, None],
+               "list": x.tolist()}[form]
+        before = np.array(arg, dtype=float)
+        kept = before.copy()
+        u = exact.u(arg)
+        if form == "list":
+            assert arg == before.tolist()
+        else:
+            assert arg.dtype == np.float64 and arg.tobytes() == before.tobytes()
+        ref = np.empty_like(kept)
+        exact.u_and_prime(kept)(ref, np.empty_like(kept))
+        assert u.shape == np.shape(arg) and u.dtype == np.float64
+        assert u.tobytes() == ref.tobytes()
 
     def test_validate_passes(self):
         layer_test_problem(1e-6).exact.validate()
@@ -158,7 +181,7 @@ class TestLayerTestProblem:
         # A NaN compares false with every bound, so each check is written to fail on it.
         arr = lambda x: np.asarray(x, dtype=float)
         u = lambda x: np.where(arr(x) == where, np.nan, 0.0 * arr(x))
-        exact = ExactSolution(lambda x: (u(x), 0.0 * arr(x)), S=lambda x: 0.0 * arr(x),
+        exact = ExactSolution(writer(u, lambda x: 0.0 * arr(x)), S=lambda x: 0.0 * arr(x),
                               E=lambda x: 0.0 * arr(x))
         with pytest.raises(ValueError, match=rule):
             exact.validate()
@@ -253,8 +276,9 @@ class TestBVPValidation:
 
     def test_exact_solution_validate_rejects_nonzero_boundary(self):
         bad = ExactSolution(
-            u_and_prime=lambda x: (
-                np.asarray(x, dtype=float), np.ones_like(np.asarray(x, dtype=float))
+            u_and_prime=writer(
+                lambda x: np.asarray(x, dtype=float),
+                lambda x: np.ones_like(np.asarray(x, dtype=float)),
             ),
             S=lambda x: np.asarray(x, dtype=float),
             E=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -267,7 +291,7 @@ class TestBVPValidation:
         bubble = lambda x: arr(x) * (1.0 - arr(x))
         slope = lambda x: 1.0 - 2.0 * arr(x)
         drifted = ExactSolution(
-            u_and_prime=lambda x: (bubble(x), slope(x)),
+            u_and_prime=writer(bubble, slope),
             S=bubble,
             E=lambda x: 1e-9 * arr(x),
         )

@@ -33,7 +33,7 @@ from layerfem import (
 from layerfem import cli, study
 from layerfem.problem import _PROBLEMS
 from layerfem.study import defaults_for, interpolation_study
-from oracles import fitted_rate
+from oracles import fitted_rate, writer
 
 
 def small_config(**overrides):
@@ -324,7 +324,7 @@ class TestRunStudy:
                 f=lambda x: f_poly(arr(x)),
                 b_prime=lambda x: -np.ones_like(arr(x)),
                 exact=ExactSolution(
-                    u_and_prime=lambda x: (p(arr(x)), dp(arr(x))),
+                    u_and_prime=writer(lambda x: p(arr(x)), lambda x: dp(arr(x))),
                     S=lambda x: p(arr(x)),
                     E=lambda x: np.zeros_like(arr(x)),
                 ),
