@@ -39,7 +39,7 @@ __all__ = [
 
 class SingularMatrixError(RuntimeError):
     """The elimination hit a zero or non-finite pivot, or an interior block
-    has an infinite entry; the system is singular to working precision.
+    is singular or not finite; the system is singular to working precision.
 
     ``pivot_index`` is the elimination step of the vertex system, or None when
     the interior block of ``element`` is singular or not finite.
@@ -78,7 +78,9 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _check_degree(degree: int) -> None:
-    if not 1 <= degree <= 10:
+    # An int or numpy integer, not numbers.Integral, whose ABC check costs ~10x more a call;
+    # a bool is an int, but True as k fails as a reshape size inside the norms.
+    if isinstance(degree, bool) or not (isinstance(degree, (int, np.integer)) and 1 <= degree <= 10):
         raise ValueError(f"polynomial degree must lie in 1..10, got {degree}")
 
 
@@ -367,8 +369,6 @@ class _Condensation:
         k = self._k = matrices.shape[1] - 1
         self._a_ii = matrices[:, 1:k, 1:k]
         self._a_vi = matrices[:, ::k, 1:k]   # rows 0 and k
-        if k == 2 and not self._a_ii.all():   # the exact zero pivot LAPACK's dgetrf flags
-            raise SingularMatrixError(element=int((self._a_ii == 0.0).argmax()))
         schur = matrices   # k = 1 has no interior unknowns, whose products would subtract +0.0
         if k > 1:
             # Interior values per unit vertex value: u_inner = y - w @ (v_left, v_right).
@@ -379,20 +379,12 @@ class _Condensation:
         )
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._k == 2:   # 1x1 blocks, nonzero (checked above), with the bits of OpenBLAS's dgesv
+        if self._k == 2:   # 1x1 blocks, with the bits of OpenBLAS's dgesv
             # trsm multiplies several right-hand sides by the reciprocal pivot, trsv divides one.
             if rhs.shape[2] == 1:
                 return rhs / self._a_ii
             return rhs * (1.0 / self._a_ii)
-        try:
-            return np.linalg.solve(self._a_ii, rhs)
-        except np.linalg.LinAlgError:
-            for e, block in enumerate(self._a_ii):
-                try:
-                    np.linalg.solve(block, rhs[e])
-                except np.linalg.LinAlgError:
-                    raise SingularMatrixError(element=e) from None
-            raise
+        return np.linalg.solve(self._a_ii, rhs)
 
     def solve(self, loads: np.ndarray) -> np.ndarray:
         k, n_elem = self._k, loads.shape[0]
@@ -409,7 +401,7 @@ class _Condensation:
         return out
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a non-finite result raises below instead
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")   # a failure raises below instead
 def solve(system: ElementSystem) -> np.ndarray:
     """Solve the system by static condensation; returns the k*N - 1 unknowns.
 
@@ -427,24 +419,31 @@ def solve(system: ElementSystem) -> np.ndarray:
     k >= 3 take three batched dgesv calls (w, y, y of the residual).  Solving
     y with w would round differently (trsm multiplies by 1/pivot, trsv divides).
 
-    Raises :class:`SingularMatrixError` on a zero or non-finite pivot of the vertex system
-    (with its elimination step) or a singular or infinite interior block (with its element),
-    a ValueError naming the element of a non-finite load, else a FloatingPointError.
+    Raises, when dgesv fails, the vertex system is singular or the result is not finite:
+    :class:`SingularMatrixError` naming the first element whose interior block is not finite
+    or singular to dgetrf, else a ValueError naming the first element of a non-finite load,
+    else that failure itself (the vertex system's elimination step, or a FloatingPointError
+    when the solution overflows).
     """
-    condensed = _Condensation(system.matrices)
-    x = condensed.solve(system.loads)
     k, n_elem = system.degree, system.loads.shape[0]
-    local = _overlapping(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize))
-    residual = system.loads - (system.matrices @ local[:, :, None])[:, :, 0]
-    x += condensed.solve(residual)
-    if not np.isfinite(x).all():   # an infinite interior entry passes every pivot check
-        finite = np.isfinite(system.matrices[:, 1:k, 1:k]).all(axis=(1, 2))
-        if not finite.all():
-            raise SingularMatrixError(element=int(finite.argmin()))
+    try:
+        condensed = _Condensation(system.matrices)
+        x = condensed.solve(system.loads)
+        local = _overlapping(x, (n_elem, k + 1), (k * x.itemsize, x.itemsize))
+        residual = system.loads - (system.matrices @ local[:, :, None])[:, :, 0]
+        x += condensed.solve(residual)
+        if not np.isfinite(x).all():
+            raise FloatingPointError("the solution overflows to non-finite values")
+    except (np.linalg.LinAlgError, SingularMatrixError, FloatingPointError):
+        # dgetrf's LU meets an exact zero pivot exactly where slogdet's sign is 0.
+        blocks = system.matrices[:, 1:k, 1:k]
+        bad = ~np.isfinite(blocks).all(axis=(1, 2)) | (np.linalg.slogdet(blocks)[0] == 0)
+        if bad.any():
+            raise SingularMatrixError(element=int(bad.argmax())) from None
         finite = np.isfinite(system.loads).all(axis=1)
         if not finite.all():
-            raise ValueError(f"element {int(finite.argmin())} has a non-finite load")
-        raise FloatingPointError("the solution overflows to non-finite values")
+            raise ValueError(f"element {int(finite.argmin())} has a non-finite load") from None
+        raise
     return x[1:-1]
 
 

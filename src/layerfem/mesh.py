@@ -74,7 +74,7 @@ class MeshSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", MeshFamily(self.family))
-        if self.N < 4 or self.N % 2 != 0:
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 4 and self.N % 2 == 0):
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
         if not self.sigma >= 1.0:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")

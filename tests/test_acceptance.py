@@ -16,9 +16,11 @@ line per criterion (visible with ``pytest -s`` or on failure):
   9. the triangle inequality |e(u^N) - e(u^I)| <= ||u^N - u^I||_eps between
      the energy errors of the Galerkin solution and the interpolant
 
-and checks the 408 default points bit for bit against ``bit_record.json``.
+and checks the 408 default points bit for bit against ``bit_record.json`` and
+the CLI's default outputs against their sha256.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -52,7 +54,8 @@ from layerfem import (
     run_study,
     solve,
 )
-from layerfem.study import interpolation_study, solve_point
+from layerfem.cli import main
+from layerfem.study import emit, interpolation_study, solve_point
 from oracles import dense_matrix, dense_rhs, fitted_rate, writer
 
 # Published uniform energy errors e^N and rates r^N per (N row).  A rate of
@@ -177,6 +180,31 @@ def test_bit_identity_record(sweep, interpolant_points):
             f"{where} (numpy {np.__version__}, record made with numpy {record['numpy']})"
         )
     _finish(f"bit identity ({total} values of {BIT_RECORD.name})", failures)
+
+
+# sha256 of the CLI's default outputs.  A change that moves one of them updates its hash here.
+OUTPUT_SHA256 = {
+    "study --format csv": "b836434b7f86c3e2ba78485ee0c1a7dc72dbae31d342abc0730b6162aa56d23b",
+    "study --format table": "b13fbfc8054b472e5c81cd580b3194aa856e90c94e58cb39eac62566e55b3d95",
+    "verify": "8f5cfc3ffc393da4f49966b1a0b740583313ff128bfc1adc926cb16b4ba201d9",
+    "verify --k 1 --k 2 --k 3 --k 4": "03853d5d5fc702b638c822faab7891809ca6ee597c11e16342460eeaf45a5bf2",
+}
+
+
+def test_cli_outputs_keep_their_sha256(sweep, capsys):
+    """The outputs of ``study`` in both formats and of ``verify`` keep their bytes.
+
+    ``study`` writes ``emit`` of the sweep's records, so those are hashed
+    without a second sweep; ``verify`` runs through the CLI.  Like the bit
+    record, the bytes depend on numpy, its BLAS and the CPU.
+    """
+    outputs = {f"study --format {fmt}": emit(sweep[0].records, fmt) for fmt in ("csv", "table")}
+    for command in ("verify", "verify --k 1 --k 2 --k 3 --k 4"):
+        assert main(command.split()) == 0
+        outputs[command] = capsys.readouterr().out
+    digests = {command: hashlib.sha256(text.encode("utf-8")).hexdigest() for command, text in outputs.items()}
+    failures = [f"{c} now hashes to {d}" for c, d in digests.items() if d != OUTPUT_SHA256[c]]
+    _finish(f"CLI output hashes (numpy {np.__version__})", failures)
 
 
 def _check_table(result, table, e_tol, relaxed):

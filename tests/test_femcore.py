@@ -298,6 +298,23 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(bvp, mesh, 0)
 
+    @pytest.mark.parametrize("degree", [2.0, np.float64(3.0)])
+    def test_a_degree_that_is_not_an_integer_is_rejected_by_name(self, degree):
+        # Unchecked, a float degree reaches numpy's leggauss, whose TypeError names
+        # the rule size k + 2 instead of the degree.
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        with pytest.raises(ValueError, match=rf"^polynomial degree must lie in 1\.\.10, got {degree}$"):
+            galerkin_solve(bvp, mesh, degree)
+
+    def test_a_numpy_integer_degree_is_accepted(self):
+        bvp = layer_test_problem(0.01)
+        mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
+        np.testing.assert_array_equal(
+            galerkin_solve(bvp, mesh, np.int64(2)).coefficients,
+            galerkin_solve(bvp, mesh, 2).coefficients,
+        )
+
     @pytest.mark.parametrize("degree", [-2, -5])
     def test_negative_degree_error_names_the_degree(self, degree):
         # Checked before the default rule size k + 2 is formed, so the
@@ -532,16 +549,18 @@ class TestBandedSolve:
         np.testing.assert_array_equal(system.loads, loads)
         assert not system.matrices.flags.writeable and not system.loads.flags.writeable
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_nan_in_element_matrix_raises(self, k):
-        # For k = 2, (3, 1, 1) is a whole 1x1 interior block.  An infinite interior
-        # entry leaves every pivot finite; the solve names its element, and numpy's
-        # RuntimeWarnings from the products on the way stay inside it.
+        # Every non-finite entry of element 3's interior block names element 3, whether
+        # it breaks a pivot of the vertex system or only the result; an entry outside
+        # the block names its elimination step.  numpy's RuntimeWarnings from the
+        # products on the way stay inside the solve.
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))
         system = assemble(bvp, mesh, k)
-        entries = [(3, 0, 0), (3, 0, k - 1), (3, 1, k - 1), (3, k - 1, k), (7, 0, 1)]
-        for entry, value in itertools.product(entries, [np.nan, np.inf, -np.inf]):
+        interior = [(3, i, j) for i, j in itertools.product(range(1, k), repeat=2)]
+        vertex = [(3, 0, 0), (3, 0, k - 1), (3, k - 1, k), (3, k, 1), (7, 0, 1)]
+        for entry, value in itertools.product(interior + vertex, [np.nan, np.inf, -np.inf]):
             matrices = system.matrices.copy()
             matrices[entry] = value
             broken = ElementSystem(matrices=matrices, loads=system.loads, degree=k)
@@ -549,8 +568,10 @@ class TestBandedSolve:
                 warnings.simplefilter("always")
                 solve(broken)
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-            if np.isinf(value) and 0 < entry[1] < k and 0 < entry[2] < k:
-                assert raised.value.element == entry[0]
+            if entry in interior:
+                assert (raised.value.element, raised.value.pivot_index) == (3, None), (entry, value)
+            else:
+                assert raised.value.element is None and raised.value.pivot_index is not None
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -589,7 +610,7 @@ class TestBandedSolve:
             changed = ElementSystem(matrices=matrices, loads=system.loads, degree=3)
             np.testing.assert_array_equal(solve(changed), expected)
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_singular_interior_block_names_element(self, k):
         bvp = layer_test_problem(0.01)
         mesh = generate(MeshSpec(family=MeshFamily.ROOS, N=8, sigma=2.0, epsilon=0.01))

@@ -104,6 +104,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match="even"):
             MeshSpec(family=MeshFamily.ROOS, N=2, sigma=2.0, epsilon=0.01)
 
+    @pytest.mark.parametrize("N", [8.0, np.float64(8.0), "8"])
+    def test_rejects_an_n_that_is_not_an_integer(self, N):
+        # A float N would build and print as 8.0 in study's CSV and table.
+        with pytest.raises(ValueError, match=r"^N must be an even integer >= 4, got 8(\.0)?$"):
+            MeshSpec(family=MeshFamily.ROOS, N=N, sigma=2.0, epsilon=0.01)
+
+    def test_accepts_a_numpy_integer_n(self):
+        assert MeshSpec(family=MeshFamily.ROOS, N=np.int64(8), sigma=2.0, epsilon=0.01).N == 8
+
     @pytest.mark.parametrize("family", list(MeshFamily))
     @pytest.mark.parametrize(
         "sigma,c1,message",

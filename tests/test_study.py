@@ -93,6 +93,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="1..10"):
             StudyConfig(k_list=(11,))
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_a_degree_that_is_not_an_integer_fails_the_sweep_before_any_point_runs(self, k):
+        # Unchecked, its first point would abort run_study with a TypeError,
+        # which _single_run does not record.
+        with pytest.raises(ValueError, match=rf"^polynomial degree must lie in 1\.\.10, got {k}$"):
+            StudyConfig(k_list=(k,))
+
     @pytest.mark.parametrize("k", [0, 11])
     def test_every_entry_point_applies_the_one_degree_rule(self, k):
         rule = rf"^polynomial degree must lie in 1\.\.10, got {k}$"

@@ -35,8 +35,6 @@ PACKAGE = SRC / "layerfem"
 ALLOWED = {
     ("cli.py", "<module>", "sys.exit(main())"):
         "runs only when the module is executed as a script (python -m layerfem.cli)",
-    ("femcore.py", "_Condensation._interior_solve", "raise"):
-        "re-raises a LinAlgError of the batched solve when no single block reproduces it",
 }
 
 
